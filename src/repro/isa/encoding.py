@@ -26,12 +26,11 @@ import struct
 from typing import Dict, Iterable, List, Tuple
 
 from repro.isa.instructions import (
-    ControlKind,
     Format,
     Instruction,
     Opcode,
 )
-from repro.isa.registers import NUM_INTEGER_REGISTERS
+from repro.isa.registers import NUM_INTEGER_REGISTERS, ZERO_REGISTER
 
 #: Size of one encoded instruction, in bytes.
 INSTRUCTION_SIZE = 4
@@ -88,65 +87,83 @@ def _to_field(index: int, file: str, opcode: Opcode) -> int:
     return index
 
 
-def _from_field(field: int, file: str) -> int:
-    """5-bit field value -> unified register index."""
-    return field + NUM_INTEGER_REGISTERS if file == _FP else field
-
-
 # ----------------------------------------------------------------------
 # Decode tables
 # ----------------------------------------------------------------------
 
+#: Which of the (ra, rb, rc) fields each format encodes.
+_ENCODED_FIELDS: Dict[Format, Tuple[bool, bool, bool]] = {
+    Format.OPERATE: (True, True, True),
+    Format.OPERATE_FP: (True, True, True),
+    Format.MEMORY: (True, True, False),
+    Format.MEMORY_FP: (True, True, False),
+    Format.BRANCH: (True, False, False),
+    Format.BRANCH_FP: (True, False, False),
+    Format.JUMP: (True, True, False),
+    Format.PAL: (False, False, False),
+}
+
+#: ``(opcode, has literal, ra mask, ra offset, rb mask, rb offset, rc
+#: mask, rc offset)``: register ``r`` is ``(field & mask) + offset``, so
+#: a field the format does not encode reads as mask 0, offset
+#: ``ZERO_REGISTER``.
+_Decoder = Tuple[Opcode, bool, int, int, int, int, int, int]
+
+
+def _decoder(opcode: Opcode, literal: bool = False) -> _Decoder:
+    encoded = (True, False, True) if literal else _ENCODED_FIELDS[opcode.format]
+    spec: List[int] = []
+    for present, file in zip(encoded, FIELD_FILES[opcode]):
+        if present:
+            spec += (0x1F, NUM_INTEGER_REGISTERS if file == _FP else 0)
+        else:
+            spec += (0, ZERO_REGISTER)
+    return (opcode, literal, *spec)  # type: ignore[return-value]
+
+
+#: How a format's opcode and operands sit in a word: the width of its
+#: displacement (memory and branch), or the ``(shift, mask, name)`` of
+#: the field that picks the opcode under its major.  Integer operate
+#: selects on bits 12:5, so the literal flag is part of its selector.
+_LAYOUTS: Dict[Format, object] = {
+    Format.MEMORY: 16,
+    Format.MEMORY_FP: 16,
+    Format.BRANCH: 21,
+    Format.BRANCH_FP: 21,
+    Format.OPERATE: (5, 0xFF, "operate literal flag + function"),
+    Format.OPERATE_FP: (5, 0x7FF, "FP operate function"),
+    Format.JUMP: (14, 0x3, "jump type"),
+    Format.PAL: (0, 0x03FF_FFFF, "PAL function"),
+}
+
+
 def _build_tables() -> Tuple[
-    Dict[int, Opcode],
-    Dict[int, Opcode],
-    Dict[Tuple[int, int], Opcode],
-    Dict[int, Opcode],
-    Dict[int, Opcode],
+    Dict[int, Tuple[int, int, _Decoder]],
+    Dict[int, Tuple[int, int, str, Dict[int, _Decoder]]],
 ]:
-    memory: Dict[int, Opcode] = {}
-    branch: Dict[int, Opcode] = {}
-    operate: Dict[Tuple[int, int], Opcode] = {}
-    jump: Dict[int, Opcode] = {}
-    pal: Dict[int, Opcode] = {}
+    """Per major opcode: ``displaced[major] = (displacement mask, sign
+    bit, decoder)`` for memory and branch words, and ``selected[major]
+    = (shift, mask, name, {selector: decoder})`` for the rest."""
+    displaced: Dict[int, Tuple[int, int, _Decoder]] = {}
+    selected: Dict[int, Tuple[int, int, str, Dict[int, _Decoder]]] = {}
     for op in Opcode:
-        info = op.info
-        if op.format in (Format.MEMORY, Format.MEMORY_FP):
-            if info.major in memory:
-                raise AssertionError(f"duplicate memory major {info.major:#x}")
-            memory[info.major] = op
-        elif op.format in (Format.BRANCH, Format.BRANCH_FP):
-            if info.major in branch:
-                raise AssertionError(f"duplicate branch major {info.major:#x}")
-            branch[info.major] = op
-        elif op.format in (Format.OPERATE, Format.OPERATE_FP):
-            key = (info.major, info.function)
-            if key in operate:
-                raise AssertionError(f"duplicate operate opcode {key}")
-            operate[key] = op
-        elif op.format == Format.JUMP:
-            jump[info.function] = op
-        elif op.format == Format.PAL:
-            pal[info.function] = op
-    return memory, branch, operate, jump, pal
+        major, layout = op.info.major, _LAYOUTS[op.format]
+        if isinstance(layout, int):
+            if major in displaced or major in selected:
+                raise AssertionError(f"{op.mnemonic}: major {major:#x} reused")
+            displaced[major] = ((1 << layout) - 1, 1 << (layout - 1), _decoder(op))
+            continue
+        entry = selected.setdefault(major, (*layout, {}))  # type: ignore[misc]
+        decoders = entry[3]
+        if entry[:3] != layout or major in displaced or op.info.function in decoders:
+            raise AssertionError(f"{op.mnemonic}: encoding clashes")
+        decoders[op.info.function] = _decoder(op)
+        if op.format == Format.OPERATE:
+            decoders[(1 << 7) | op.info.function] = _decoder(op, literal=True)
+    return displaced, selected
 
 
-(_MEMORY_MAJORS, _BRANCH_MAJORS, _OPERATE_FUNCS, _JUMP_TYPES, _PAL_FUNCS) = (
-    _build_tables()
-)
-
-_OPERATE_MAJORS = frozenset(major for (major, _f) in _OPERATE_FUNCS)
-_FP_OPERATE_MAJORS = frozenset(
-    op.info.major for op in Opcode if op.format == Format.OPERATE_FP
-)
-_JUMP_MAJOR = Opcode.JMP.info.major
-_PAL_MAJOR = Opcode.HALT.info.major
-
-
-def _signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
+_DISPLACED, _SELECTED = _build_tables()
 
 
 def _unsigned(value: int, bits: int, what: str) -> int:
@@ -223,82 +240,47 @@ def encode_instruction(instruction: Instruction) -> int:
     return word
 
 
+def _build(decoder: _Decoder, word: int) -> Instruction:
+    opcode, literal, ma, oa, mb, ob, mc, oc = decoder
+    return Instruction(
+        opcode,
+        ((word >> 21) & ma) + oa,
+        ((word >> 16) & mb) + ob,
+        (word & mc) + oc,
+        (word >> 13) & 0xFF if literal else None,
+    )
+
+
+def _decode_word(word: int, shapes: Dict[int, Instruction]) -> Instruction:
+    """Decode ``word``; memory and branch words copy the validated
+    prototype in ``shapes`` for their shape (the word without its
+    displacement), building it on first sight."""
+    major = word >> 26
+    displaced = _DISPLACED.get(major)
+    if displaced is not None:
+        mask, sign, decoder = displaced
+        field = word & mask
+        prototype = shapes.get(word - field)
+        if prototype is None:
+            prototype = shapes[word - field] = _build(decoder, word - field)
+        displacement = (field ^ sign) - sign
+        return prototype.with_displacement(displacement) if displacement else prototype
+    selected = _SELECTED.get(major)
+    if selected is None:
+        raise EncodingError(f"unknown major opcode {major:#x}")
+    shift, mask, what, decoders = selected
+    selector = (word >> shift) & mask
+    decoder = decoders.get(selector)
+    if decoder is None:
+        raise EncodingError(f"major {major:#x}: unknown {what} {selector:#x}")
+    return _build(decoder, word)
+
+
 def decode_instruction(word: int) -> Instruction:
     """Decode a 32-bit word back into an :class:`Instruction`."""
     if not 0 <= word < 1 << 32:
         raise EncodingError(f"word {word:#x} is not a 32-bit value")
-    major = (word >> 26) & 0x3F
-
-    if major == _PAL_MAJOR:
-        function = word & 0x03FF_FFFF
-        opcode = _PAL_FUNCS.get(function)
-        if opcode is None:
-            raise EncodingError(f"unknown PAL function {function:#x}")
-        return Instruction(opcode)
-
-    if major == _JUMP_MAJOR:
-        jump_type = (word >> 14) & 0x3
-        opcode = _JUMP_TYPES.get(jump_type)
-        if opcode is None:
-            raise EncodingError(f"unknown jump type {jump_type}")
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
-        )
-
-    if major in _MEMORY_MAJORS:
-        opcode = _MEMORY_MAJORS[major]
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
-            displacement=_signed(word & 0xFFFF, 16),
-        )
-
-    if major in _BRANCH_MAJORS:
-        opcode = _BRANCH_MAJORS[major]
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            displacement=_signed(word & 0x1F_FFFF, 21),
-        )
-
-    if major in _FP_OPERATE_MAJORS:
-        function = (word >> 5) & 0x7FF
-        opcode = _OPERATE_FUNCS.get((major, function))
-        if opcode is None:
-            raise EncodingError(
-                f"unknown FP operate major={major:#x} function={function:#x}"
-            )
-        files = FIELD_FILES[opcode]
-        return Instruction(
-            opcode,
-            ra=_from_field((word >> 21) & 0x1F, files[0]),
-            rb=_from_field((word >> 16) & 0x1F, files[1]),
-            rc=_from_field(word & 0x1F, files[2]),
-        )
-
-    if major in _OPERATE_MAJORS:
-        function = (word >> 5) & 0x7F
-        opcode = _OPERATE_FUNCS.get((major, function))
-        if opcode is None:
-            raise EncodingError(
-                f"unknown operate major={major:#x} function={function:#x}"
-            )
-        files = FIELD_FILES[opcode]
-        ra = _from_field((word >> 21) & 0x1F, files[0])
-        rc = _from_field(word & 0x1F, files[2])
-        if (word >> 12) & 1:
-            literal = (word >> 13) & 0xFF
-            return Instruction(opcode, ra=ra, rc=rc, literal=literal)
-        rb = _from_field((word >> 16) & 0x1F, files[1])
-        return Instruction(opcode, ra=ra, rb=rb, rc=rc)
-
-    raise EncodingError(f"unknown major opcode {major:#x}")
+    return _decode_word(word, {})
 
 
 # ----------------------------------------------------------------------
@@ -310,13 +292,26 @@ def encode_stream(instructions: Iterable[Instruction]) -> bytes:
     return b"".join(_WORD.pack(encode_instruction(i)) for i in instructions)
 
 
-def decode_stream(code: bytes) -> List[Instruction]:
-    """Decode contiguous code bytes back into instructions."""
+def decode_stream(code: bytes, base: int = 0) -> List[Instruction]:
+    """Decode contiguous code bytes back into instructions.
+
+    Each distinct word is decoded once and its instruction shared by
+    every occurrence; an undecodable word is reported with its address,
+    counting the first byte of ``code`` as ``base``.
+    """
     if len(code) % INSTRUCTION_SIZE:
         raise EncodingError(
             f"code length {len(code)} is not a multiple of {INSTRUCTION_SIZE}"
         )
-    return [
-        decode_instruction(_WORD.unpack_from(code, offset)[0])
-        for offset in range(0, len(code), INSTRUCTION_SIZE)
-    ]
+    words = [word for (word,) in _WORD.iter_unpack(code)]
+    decoded: Dict[int, Instruction] = {}
+    shapes: Dict[int, Instruction] = {}
+    for word in dict.fromkeys(words):
+        try:
+            decoded[word] = _decode_word(word, shapes)
+        except EncodingError as error:
+            address = base + INSTRUCTION_SIZE * words.index(word)
+            raise EncodingError(
+                f"word {word:#010x} at {address:#x}: {error}"
+            ) from None
+    return [decoded[word] for word in words]

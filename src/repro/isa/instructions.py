@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.isa.registers import (
     FLOAT_ZERO_REGISTER,
@@ -190,10 +190,73 @@ _A0 = 16
 _V0 = 0
 
 
-def _zero_for(format: Format) -> int:
-    if format in (Format.OPERATE_FP, Format.MEMORY_FP, Format.BRANCH_FP):
-        return FLOAT_ZERO_REGISTER
-    return ZERO_REGISTER
+def _interned_sets() -> Tuple[List[FrozenSet[int]], List[List[FrozenSet[int]]]]:
+    """``one[r]`` is ``{r}`` and ``two[a][b]`` is ``{a, b}``, both without
+    the hardwired zero registers (their reads and writes carry no
+    dataflow); equal sets are one shared object."""
+    zeros = {ZERO_REGISTER, FLOAT_ZERO_REGISTER}
+    pool: Dict[FrozenSet[int], FrozenSet[int]] = {}
+
+    def intern(*registers: int) -> FrozenSet[int]:
+        regs = frozenset(registers) - zeros
+        return pool.setdefault(regs, regs)
+
+    one = [intern(r) for r in range(NUM_REGISTERS)]
+    two = [
+        [intern(a, b) for b in range(NUM_REGISTERS)]
+        for a in range(NUM_REGISTERS)
+    ]
+    return one, two
+
+
+_ONE, _TWO = _interned_sets()
+_NONE = _ONE[ZERO_REGISTER]
+
+
+#: Each selector maps an instruction's ``(ra, rb, rc)`` to the interned
+#: set of the registers its key names.
+_SELECTORS: Dict[str, Callable[[int, int, int], FrozenSet[int]]] = {
+    "": lambda ra, rb, rc: _NONE,
+    "ra": lambda ra, rb, rc: _ONE[ra],
+    "rb": lambda ra, rb, rc: _ONE[rb],
+    "rc": lambda ra, rb, rc: _ONE[rc],
+    "ra rb": lambda ra, rb, rc: _TWO[ra][rb],
+    "ra rc": lambda ra, rb, rc: _TWO[ra][rc],
+    # Only the conditional moves read three registers.
+    "ra rb rc": lambda ra, rb, rc: _TWO[ra][rb] | _ONE[rc],
+    "v0": lambda ra, rb, rc: _ONE[_V0],
+    "a0": lambda ra, rb, rc: _ONE[_A0],
+}
+
+
+def _template(op: Opcode) -> Tuple[str, Optional[str], str]:
+    """``(uses, uses with a literal, defs)`` of ``op`` as selector keys;
+    the middle entry is ``None`` when ``op`` takes no literal."""
+    fmt, control = op.format, op.control
+    if fmt in (Format.OPERATE, Format.OPERATE_FP):
+        if op in (Opcode.CMOVEQ, Opcode.CMOVNE):
+            # The move may not happen, so the old destination flows through.
+            return "ra rb rc", "ra rc", "rc"
+        return "ra rb", "ra", "rc"
+    if fmt in (Format.MEMORY, Format.MEMORY_FP):
+        return ("rb", None, "ra") if op.info.is_load else ("ra rb", None, "")
+    if fmt in (Format.BRANCH, Format.BRANCH_FP):
+        uses = "ra" if control == ControlKind.COND_BRANCH else ""
+        # BR and BSR write the return address into ra.
+        links = control in (ControlKind.UNCOND_BRANCH, ControlKind.CALL_DIRECT)
+        return uses, None, "ra" if links else ""
+    if fmt == Format.JUMP:
+        return "rb", None, "ra"
+    # OUTPUT emits a0; HALT delivers v0 to the host as the exit status.
+    return "a0" if op is Opcode.OUTPUT else "v0", None, ""
+
+
+#: Per-opcode uses/defs templates, built once from the opcode table:
+#: ``(uses, uses with a literal or None, defs)`` selectors.
+_TEMPLATES = {
+    op: tuple(None if key is None else _SELECTORS[key] for key in _template(op))
+    for op in Opcode
+}
 
 
 @dataclass(frozen=True)
@@ -211,6 +274,9 @@ class Instruction:
       counted in *instructions* relative to the following instruction;
     * jump:     ``ra`` (link register), ``rb`` (target address register);
     * pal:      no register operands (OUTPUT implicitly reads ``a0``).
+
+    Instructions are immutable values: decoding shares one instance
+    among equal words, so compare with ``==``, never ``is``.
     """
 
     opcode: Opcode
@@ -221,15 +287,22 @@ class Instruction:
     displacement: int = 0
 
     def __post_init__(self) -> None:
-        for field_name in ("ra", "rb", "rc"):
-            index = getattr(self, field_name)
-            if not 0 <= index < NUM_REGISTERS:
-                raise ValueError(
-                    f"{self.opcode.mnemonic}: register field {field_name}={index} "
-                    f"out of range [0, {NUM_REGISTERS})"
-                )
+        ra, rb, rc = self.ra, self.rb, self.rc
+        if not (
+            0 <= ra < NUM_REGISTERS
+            and 0 <= rb < NUM_REGISTERS
+            and 0 <= rc < NUM_REGISTERS
+        ):
+            for field_name in ("ra", "rb", "rc"):
+                index = getattr(self, field_name)
+                if not 0 <= index < NUM_REGISTERS:
+                    raise ValueError(
+                        f"{self.opcode.mnemonic}: register field "
+                        f"{field_name}={index} out of range [0, {NUM_REGISTERS})"
+                    )
+        uses, with_literal, defs = _TEMPLATES[self.opcode]
         if self.literal is not None:
-            if self.opcode.format not in (Format.OPERATE, Format.OPERATE_FP):
+            if with_literal is None:
                 raise ValueError(
                     f"{self.opcode.mnemonic}: literal operand only valid in "
                     f"operate format"
@@ -239,11 +312,29 @@ class Instruction:
                     f"{self.opcode.mnemonic}: literal {self.literal} out of "
                     f"range [0, 256)"
                 )
+            uses = with_literal
         # The analyses query uses()/defs() in their hottest loops;
         # precompute both (the instruction is immutable).  The caches
         # are not dataclass fields, so equality/hash are unaffected.
-        object.__setattr__(self, "_uses", self._compute_uses())
-        object.__setattr__(self, "_defs", self._compute_defs())
+        object.__setattr__(self, "_uses", uses(ra, rb, rc))
+        object.__setattr__(self, "_defs", defs(ra, rb, rc))
+
+    def with_displacement(self, displacement: int) -> "Instruction":
+        """This instruction with another ``displacement``.
+
+        Equal to ``dataclasses.replace(self, displacement=displacement)``
+        but skips revalidation: the displacement is the one field
+        ``__post_init__`` does not check, and ``uses()``/``defs()`` do
+        not depend on it.  Fields are set in the order the dataclass
+        sets them.
+        """
+        moved = object.__new__(Instruction)
+        for name in ("opcode", "ra", "rb", "rc", "literal"):
+            object.__setattr__(moved, name, getattr(self, name))
+        object.__setattr__(moved, "displacement", displacement)
+        object.__setattr__(moved, "_uses", self._uses)  # type: ignore[attr-defined]
+        object.__setattr__(moved, "_defs", self._defs)  # type: ignore[attr-defined]
+        return moved
 
     # ------------------------------------------------------------------
     # Register dataflow
@@ -264,62 +355,6 @@ class Instruction:
         hardware and therefore not reported.
         """
         return self._defs  # type: ignore[attr-defined]
-
-    def _compute_uses(self) -> FrozenSet[int]:
-        fmt = self.opcode.format
-        raw: Tuple[int, ...]
-        if fmt in (Format.OPERATE, Format.OPERATE_FP):
-            if self.literal is None:
-                raw = (self.ra, self.rb)
-            else:
-                raw = (self.ra,)
-        elif fmt in (Format.MEMORY, Format.MEMORY_FP):
-            if self.opcode.info.is_load:
-                raw = (self.rb,)
-            else:
-                raw = (self.ra, self.rb)
-        elif fmt in (Format.BRANCH, Format.BRANCH_FP):
-            if self.opcode.control == ControlKind.COND_BRANCH:
-                raw = (self.ra,)
-            else:
-                raw = ()
-        elif fmt == Format.JUMP:
-            raw = (self.rb,)
-        elif self.opcode is Opcode.OUTPUT:
-            raw = (_A0,)
-        else:  # HALT delivers v0 to the host as the exit status.
-            raw = (_V0,)
-        # Conditional moves additionally read their destination (the move
-        # may not happen, so the old value flows through).
-        if self.opcode in (Opcode.CMOVEQ, Opcode.CMOVNE):
-            raw = raw + (self.rc,)
-        return frozenset(
-            r for r in raw if r not in (ZERO_REGISTER, FLOAT_ZERO_REGISTER)
-        )
-
-    def _compute_defs(self) -> FrozenSet[int]:
-        fmt = self.opcode.format
-        raw: Tuple[int, ...]
-        if fmt in (Format.OPERATE, Format.OPERATE_FP):
-            raw = (self.rc,)
-        elif fmt in (Format.MEMORY, Format.MEMORY_FP):
-            raw = (self.ra,) if self.opcode.info.is_load else ()
-        elif fmt in (Format.BRANCH, Format.BRANCH_FP):
-            # BR and BSR write the return address into ra.
-            if self.opcode.control in (
-                ControlKind.UNCOND_BRANCH,
-                ControlKind.CALL_DIRECT,
-            ):
-                raw = (self.ra,)
-            else:
-                raw = ()
-        elif fmt == Format.JUMP:
-            raw = (self.ra,)
-        else:
-            raw = ()
-        return frozenset(
-            r for r in raw if r not in (ZERO_REGISTER, FLOAT_ZERO_REGISTER)
-        )
 
     # ------------------------------------------------------------------
     # Control flow

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.isa.encoding import INSTRUCTION_SIZE, decode_stream
+from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_stream
 from repro.isa.instructions import ControlKind, Instruction
 from repro.program.image import ExecutableImage, ImageFormatError
 from repro.program.model import Program, ProgramError, Routine
@@ -18,7 +18,10 @@ from repro.program.model import Program, ProgramError, Routine
 def disassemble_image(image: ExecutableImage) -> Program:
     """Decode ``image`` into a :class:`~repro.program.model.Program`."""
     image.validate()
-    instructions = decode_stream(image.text)
+    try:
+        instructions = decode_stream(image.text, image.text_base)
+    except EncodingError as error:
+        raise ImageFormatError(f"undecodable text: {error}") from None
     routines: List[Routine] = []
     for symbol in sorted(image.symbols, key=lambda s: s.address):
         start = (symbol.address - image.text_base) // INSTRUCTION_SIZE

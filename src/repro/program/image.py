@@ -318,7 +318,7 @@ class ExecutableImage:
         data = blob[offset : offset + data_size]
         offset += data_size
         symbols: List[Symbol] = []
-        for _ in range(symbol_count):
+        for index in range(symbol_count):
             if offset + _SYMBOL_FIXED.size + _U16.size > len(blob):
                 raise ImageFormatError("truncated symbol table")
             address, size, exported = _SYMBOL_FIXED.unpack_from(blob, offset)
@@ -327,7 +327,12 @@ class ExecutableImage:
             offset += _U16.size
             if offset + name_length > len(blob):
                 raise ImageFormatError("truncated symbol name")
-            name = blob[offset : offset + name_length].decode("utf-8")
+            try:
+                name = blob[offset : offset + name_length].decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise ImageFormatError(
+                    f"symbol {index}: name is not UTF-8 ({error.reason})"
+                ) from None
             offset += name_length
             symbols.append(Symbol(name, address, size, bool(exported)))
         jump_tables: List[JumpTableInfo] = []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.program.asm import assemble
+from tests.bad_images import non_utf8_symbol_name, undecodable_first_word
 
 SOURCE = """
 .routine main export
@@ -232,6 +233,20 @@ class TestExitCodes:
         assert main(["disasm", str(bad)]) == 3
         assert main(["run", str(bad)]) == 3
         assert main(["optimize", str(bad), "-o", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("corrupt", ["undecodable-word", "non-utf8-symbol"])
+    def test_undecodable_image_is_3(self, corrupt, image_path, tmp_path, capsys):
+        blob = open(image_path, "rb").read()
+        if corrupt == "undecodable-word":
+            blob, where = undecodable_first_word(blob), "0x10000"
+        else:
+            blob, where = non_utf8_symbol_name(blob, "helper"), "symbol 1"
+        bad = tmp_path / "bad.sax"
+        bad.write_bytes(blob)
+        assert main(["analyze", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "cannot load image" in err and where in err
+        assert "Traceback" not in err
 
     def test_analysis_failure_is_4(self, image_path, capsys, monkeypatch):
         from repro.interproc import parallel

@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import AnalysisSession, validate_payload
 from repro.program.asm import assemble
+from tests.bad_images import non_utf8_symbol_name, undecodable_first_word
 from repro.service import (
     AnalysisDaemon,
     ServiceClient,
@@ -332,6 +333,18 @@ class TestBadRequests:
         finally:
             connection.close()
         # No registry residue from any failed request.
+        assert client.metricsz()["registry"]["sessions"] == 0
+
+    @pytest.mark.parametrize("corrupt", ["undecodable-word", "non-utf8-symbol"])
+    def test_undecodable_image_is_400(self, daemon, image_a, corrupt):
+        if corrupt == "undecodable-word":
+            blob = undecodable_first_word(image_a)
+        else:
+            blob = non_utf8_symbol_name(image_a, "inc")
+        client = _client(daemon)
+        with pytest.raises(ServiceError) as excinfo:
+            client.analyze(blob)
+        assert excinfo.value.status == 400
         assert client.metricsz()["registry"]["sessions"] == 0
 
     def test_oversized_body_is_413(self, image_a):
