@@ -153,17 +153,13 @@ def _cold(program, config):
 
     session = AnalysisSession.from_program(program, config)
     # The retained per-variant results grow the heap; collect before
-    # and pause the collector during the timed region so a
-    # generational sweep cannot land inside one variant's solve and
-    # skew the family curve.
+    # the timed region so every variant starts from the same state.
+    # The facade pauses the collector during the solve itself, so a
+    # generational sweep cannot land inside it and skew the curve.
     gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        analysis = session.analyze_incremental(jobs=1)
-        return analysis, time.perf_counter() - start
-    finally:
-        gc.enable()
+    start = time.perf_counter()
+    analysis = session.analyze_incremental(jobs=1)
+    return analysis, time.perf_counter() - start
 
 
 def _poison(root):

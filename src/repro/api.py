@@ -29,8 +29,14 @@ Failures that prevent an analysis from completing — a PSG that cannot
 represent the program, a diverging solver, a crashed worker process —
 are normalized to :class:`~repro.interproc.errors.AnalysisError`;
 unparseable images raise
-:class:`~repro.program.image.ImageFormatError` from the constructor
-instead, so callers can tell "bad input" from "analysis failed".
+:class:`~repro.program.image.ImageFormatError` instead — from the
+constructor, or from the first run when the decoded code cannot form a
+control-flow graph (a branch or jump table targeting outside its
+routine) — so callers can tell "bad input" from "analysis failed".
+
+Every decode, analysis, query and ``to_json`` call runs with Python's
+cyclic garbage collector paused (:func:`_gc_paused`); it resumes
+between runs.
 
 The old free functions still work but are deprecated shims around this
 facade (they emit :class:`DeprecationWarning`); new code should not
@@ -51,10 +57,14 @@ summaries are bit-identical for every choice, at every worker count
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
-from typing import Dict, List, Optional, Sequence, Union
+import threading
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
+from repro.cfg.cfg import CfgError
 from repro.dataflow.regset import construction_count
 from repro.obs.metrics import REGISTRY
 from repro.obs.runid import current_run_id, new_run_id
@@ -154,6 +164,37 @@ SUMMARY_STORE_ENV_VAR = "REPRO_SUMMARY_STORE"
 #: Exceptions an analysis run normalizes into AnalysisError.
 _ANALYSIS_FAILURES = (PsgBuildError, SolverDivergence)
 
+_gc_lock = threading.Lock()
+_gc_runs = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the duration of one run.
+
+    A run allocates millions of objects but leaves no cyclic garbage
+    (``tests/test_gc_pause.py`` holds every run kind to that), so a
+    collection triggered mid-run only re-scans the live heap — in a
+    daemon, every retained session — and frees nothing.  Counted across
+    nested and concurrent runs: the last one out restores the state the
+    process had before the first one in, so collections resume between
+    runs and a caller that disabled the collector keeps it disabled.
+    """
+    global _gc_runs, _gc_was_enabled
+    with _gc_lock:
+        if _gc_runs == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_runs += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_runs -= 1
+            if _gc_runs == 0 and _gc_was_enabled:
+                gc.enable()
+
 
 def _jobs_from_env() -> Optional[int]:
     raw = os.environ.get(JOBS_ENV_VAR)
@@ -215,6 +256,7 @@ class AnalysisSession:
     # ------------------------------------------------------------------
 
     @classmethod
+    @_gc_paused()
     def from_image_bytes(
         cls, data: bytes, config: Optional[AnalysisConfig] = None
     ) -> "AnalysisSession":
@@ -228,6 +270,7 @@ class AnalysisSession:
         return cls(disassemble_image(image), config, image_bytes=data)
 
     @classmethod
+    @_gc_paused()
     def from_image(
         cls, image: ExecutableImage, config: Optional[AnalysisConfig] = None
     ) -> "AnalysisSession":
@@ -289,13 +332,30 @@ class AnalysisSession:
 
         return resolve_jobs(jobs, self._config)
 
-    def _begin_run(self, kind: str, jobs: int) -> None:
+    @contextmanager
+    def _run(
+        self, kind: str, jobs: int, name: str, /, **args
+    ) -> Iterator[None]:
+        """One traced run: failures normalized to :class:`AnalysisError`
+        (or :class:`ImageFormatError` for code that cannot form a CFG),
+        RegisterSet constructions folded into the registry."""
         if current_run_id() is None:
             new_run_id()
         _log.info(
             "%s analysis starting: %d routines, jobs=%d",
             kind, self._program.routine_count, jobs,
         )
+        try:
+            with span(name, **args):
+                yield
+        except AnalysisError:
+            raise
+        except _ANALYSIS_FAILURES as error:
+            raise AnalysisError(str(error)) from error
+        except CfgError as error:
+            raise ImageFormatError(f"malformed code: {error}") from error
+        finally:
+            self._fold_regset()
 
     def _fold_regset(self) -> None:
         """Fold RegisterSet constructions since the last fold into the
@@ -305,6 +365,7 @@ class AnalysisSession:
             REGISTRY.inc("regset.constructed", count - self._regset_base)
             self._regset_base = count
 
+    @_gc_paused()
     def analyze(
         self, jobs: Optional[int] = None
     ) -> Union[InterproceduralAnalysis, ParallelAnalysis]:
@@ -315,23 +376,17 @@ class AnalysisSession:
         sharded parallel solver runs, with bit-identical summaries.
         """
         effective = self._resolve_jobs(jobs)
-        self._begin_run("parallel" if effective > 1 else "serial", effective)
-        try:
-            with span("analyze", jobs=effective):
-                if effective > 1:
-                    self._last = analyze_parallel(
-                        self._program, self._config, jobs=effective
-                    )
-                else:
-                    self._last = _analyze_program(self._program, self._config)
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        kind = "parallel" if effective > 1 else "serial"
+        with self._run(kind, effective, "analyze", jobs=effective):
+            if effective > 1:
+                self._last = analyze_parallel(
+                    self._program, self._config, jobs=effective
+                )
+            else:
+                self._last = _analyze_program(self._program, self._config)
         return self._last
 
+    @_gc_paused()
     def analyze_incremental(
         self,
         cache: Optional[SummaryCache] = None,
@@ -344,26 +399,20 @@ class AnalysisSession:
         dirty shards are re-solved on a worker pool.
         """
         effective = self._resolve_jobs(jobs)
-        self._begin_run("incremental", effective)
-        try:
-            with span(
-                "analyze_incremental", jobs=effective, warm=cache is not None
-            ):
-                self._last = _analyze_incremental(
-                    self._program,
-                    cache=cache,
-                    config=self._config,
-                    image_fingerprint=self.image_fingerprint,
-                    jobs=effective,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        with self._run(
+            "incremental", effective, "analyze_incremental",
+            jobs=effective, warm=cache is not None,
+        ):
+            self._last = _analyze_incremental(
+                self._program,
+                cache=cache,
+                config=self._config,
+                image_fingerprint=self.image_fingerprint,
+                jobs=effective,
+            )
         return self._last
 
+    @_gc_paused()
     def query(
         self, routine: str, *, cache: Optional[SummaryCache] = None
     ) -> QueryResult:
@@ -391,23 +440,17 @@ class AnalysisSession:
         self._resolve_jobs(None)
         if cache is None:
             cache = self._query_cache
-        self._begin_run("query", 1)
-        try:
-            with span("query", routine=routine, warm=cache is not None):
-                result = query_routine(
-                    self._program,
-                    routine,
-                    cache=cache,
-                    config=self._config,
-                    image_fingerprint=self.image_fingerprint,
-                    frontend=self._query_frontend,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        with self._run(
+            "query", 1, "query", routine=routine, warm=cache is not None
+        ):
+            result = query_routine(
+                self._program,
+                routine,
+                cache=cache,
+                config=self._config,
+                image_fingerprint=self.image_fingerprint,
+                frontend=self._query_frontend,
+            )
         self._last = result
         self._query_cache = result.cache
         self._query_frontend = result.frontend
@@ -427,22 +470,14 @@ class AnalysisSession:
         """
         from repro.opt.pipeline import PASS_NAMES, _optimize_program
 
-        self._begin_run("optimize", 1)
-        try:
-            with span("optimize"):
-                return _optimize_program(
-                    self._program,
-                    passes=PASS_NAMES if passes is None else passes,
-                    config=self._config,
-                    verify=verify,
-                    max_steps=max_steps,
-                )
-        except AnalysisError:
-            raise
-        except _ANALYSIS_FAILURES as error:
-            raise AnalysisError(str(error)) from error
-        finally:
-            self._fold_regset()
+        with self._run("optimize", 1, "optimize"):
+            return _optimize_program(
+                self._program,
+                passes=PASS_NAMES if passes is None else passes,
+                config=self._config,
+                verify=verify,
+                max_steps=max_steps,
+            )
 
     # ------------------------------------------------------------------
     # Results of the most recent analysis
@@ -493,6 +528,7 @@ class AnalysisSession:
         payload.update(last.stats())
         return payload
 
+    @_gc_paused()
     def to_json(self, include_summaries: bool = False) -> Dict[str, object]:
         """The schema-1 JSON payload of the most recent analysis
         (running a serial :meth:`analyze` first if none has been run).

@@ -192,6 +192,12 @@ def _target_index(routine: Routine, jump_index: int, address: int) -> int:
             f"{routine.address_of(jump_index):#x} targets {address:#x}, "
             f"outside the routine"
         )
+    if (address - routine.address) % INSTRUCTION_SIZE:
+        raise CfgError(
+            f"{routine.name!r}: jump table at "
+            f"{routine.address_of(jump_index):#x} targets {address:#x}, "
+            f"not an instruction boundary"
+        )
     return routine.index_of(address)
 
 

@@ -34,7 +34,8 @@ codes are distinct per failure class so scripts can tell them apart:
 * 0 — success;
 * 2 — usage error (bad flags or flag combinations, a malformed
   ``REPRO_JOBS`` value, or a query for an unknown routine);
-* 3 — the input image could not be read or parsed;
+* 3 — the input image could not be read or parsed, or its code
+  cannot form a control-flow graph;
 * 4 — the analysis itself failed (:class:`AnalysisError`);
 * 5 — the analysis succeeded but a by-product (the cache sidecar or
   the ``--trace`` file) could not be written; the run's output is
@@ -926,7 +927,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ImageFormatError as error:
+        # Code that decodes but cannot form a CFG fails on the first run.
+        print(f"cannot load image {args.image}: {error}", file=sys.stderr)
+        return EXIT_BAD_IMAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

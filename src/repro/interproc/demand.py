@@ -23,8 +23,9 @@ those component scopes*: each in-cone component re-solves exactly when
 the full warm run would have re-solved it, on the same partial PSG
 with the same pinned entries and exit seeds — so the answer for the
 queried routine is byte-identical to an exhaustive solve.  On a clean
-warm cache nothing re-solves at all and the query costs one CFG build
-plus fingerprinting.
+warm cache nothing re-solves at all: the first query on a program costs
+one CFG build plus fingerprinting, and later ones reuse both (see
+:class:`QueryFrontend`).
 
 **Memoization.**  The refreshed :class:`SummaryCache` a query returns
 must stay honest for routines the query never looked at.  Entries come
@@ -86,7 +87,8 @@ _log = logging.getLogger(__name__)
 @dataclass
 class QueryFrontend:
     """The program's immutable front-end products — CFGs, call graph,
-    SCC condensation — shared across queries of the same program.
+    SCC condensation, routine fingerprints — shared across queries of
+    the same program.
 
     Building these dominates warm-query latency (the cone solve itself
     amortizes to nothing), so :class:`repro.api.AnalysisSession`
@@ -97,16 +99,20 @@ class QueryFrontend:
     cfgs: Dict[str, object]
     call_graph: CallGraph
     condensation: Condensation
+    fingerprints: Dict[str, int]
 
 
-def build_query_frontend(program) -> QueryFrontend:
-    cfgs = build_all_cfgs(program)
-    call_graph = build_call_graph(program, cfgs)
-    return QueryFrontend(
-        cfgs=cfgs,
-        call_graph=call_graph,
-        condensation=call_graph.condensation(),
-    )
+def build_query_frontend(program, metrics: QueryMetrics) -> QueryFrontend:
+    with metrics.stage("cfg_build"):
+        cfgs = build_all_cfgs(program)
+        call_graph = build_call_graph(program, cfgs)
+        condensation = call_graph.condensation()
+    with metrics.stage("fingerprint"):
+        fingerprints = {
+            name: routine_fingerprint(program.routine(name), cfgs[name])
+            for name in cfgs
+        }
+    return QueryFrontend(cfgs, call_graph, condensation, fingerprints)
 
 
 @dataclass
@@ -177,8 +183,8 @@ def query_routine(
 
     ``cache=None`` is a cold query: the cones still restrict the work,
     and the returned cache warms every later query.  ``frontend``
-    reuses an earlier query's CFG/call-graph build for the *same*
-    program (the dominant warm-query cost).  Raises
+    reuses an earlier query's CFG/call-graph build and fingerprints for
+    the *same* program (the dominant warm-query cost).  Raises
     :class:`UnknownRoutineError` when ``routine`` is not in the
     program.
     """
@@ -189,11 +195,11 @@ def query_routine(
     REGISTRY.inc("query.requests")
 
     if frontend is None:
-        with metrics.stage("cfg_build"):
-            frontend = build_query_frontend(program)
+        frontend = build_query_frontend(program, metrics)
     cfgs = frontend.cfgs
     call_graph = frontend.call_graph
     condensation = frontend.condensation
+    fingerprints = frontend.fingerprints
     if routine not in cfgs:
         raise UnknownRoutineError(
             f"no routine named {routine!r} in the program "
@@ -207,10 +213,6 @@ def query_routine(
             result=SummarySet(summaries={}),
         )
     with metrics.stage("fingerprint"):
-        fingerprints = {
-            name: routine_fingerprint(program.routine(name), cfgs[name])
-            for name in cfgs
-        }
         dirty = record_fingerprint_verdicts(fingerprints, cache)
     metrics.dirty_routines = sorted(dirty)
 

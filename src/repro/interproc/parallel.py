@@ -61,7 +61,7 @@ from repro.cfg.callgraph import (
     ShardPlan,
     build_call_graph,
 )
-from repro.cfg.cfg import CallSite, ControlFlowGraph, ExitKind
+from repro.cfg.cfg import CallSite, CfgError, ControlFlowGraph, ExitKind
 from repro.dataflow.equations import SummaryTriple
 from repro.dataflow.local import LocalSets, compute_local_sets
 from repro.dataflow.regset import TRACKED_MASK, mask_of
@@ -923,6 +923,8 @@ def _parallel_frontend(
         for future in futures:
             try:
                 cfgs, artifacts, seconds, obs_payload = future.result()
+            except CfgError:
+                raise  # a malformed routine, not a failed worker
             except Exception as error:
                 raise AnalysisError(
                     f"parallel front-end build failed: {error!r}"

@@ -314,7 +314,7 @@ class AnalysisDaemon:
         jobs = _jobs_option(body)
         entry = self.registry.acquire(tenant, image_bytes)
         edit = body.get("edit")
-        with _entry_locked(entry, "analyze"):
+        with _entry_locked(self.registry, entry, "analyze"):
             if edit is not None:
                 return self._analyze_edit(entry, edit, jobs)
             if entry.payload is not None:
@@ -375,7 +375,7 @@ class AnalysisDaemon:
         if not isinstance(routine, str) or not routine:
             raise RequestError(400, "missing routine name")
         entry = self.registry.acquire(tenant, image_bytes)
-        with _entry_locked(entry, "query"):
+        with _entry_locked(self.registry, entry, "query"):
             # The session memoizes its query cache and front-end, so a
             # second query on a retained session skips the cold setup.
             warm = entry.session.has_query_state
@@ -408,10 +408,13 @@ class AnalysisDaemon:
 
 
 @contextmanager
-def _entry_locked(entry: SessionEntry, endpoint: str):
+def _entry_locked(
+    registry: SessionRegistry, entry: SessionEntry, endpoint: str
+):
     """Hold the entry lock, recording how long this request queued
     behind other solves of the same image
-    (``service.queue_wait.seconds{endpoint=}``)."""
+    (``service.queue_wait.seconds{endpoint=}``).  An image whose code
+    proves malformed under the lock is unregistered before the 400."""
     wait_start = time.perf_counter()
     entry.lock.acquire()
     REGISTRY.observe_hist(
@@ -421,6 +424,9 @@ def _entry_locked(entry: SessionEntry, endpoint: str):
     )
     try:
         yield
+    except ImageFormatError:
+        registry.discard(entry)
+        raise
     finally:
         entry.lock.release()
 

@@ -155,6 +155,13 @@ class SessionRegistry:
             self._evict_to_budget_locked()
         return entry
 
+    def discard(self, entry: SessionEntry) -> None:
+        """Unregister ``entry`` — an image that decoded but whose code
+        cannot be analyzed — so a rejected request leaves no residue."""
+        with self._lock:
+            if self._entries.get(entry.key) is entry:
+                del self._entries[entry.key]
+
     def note_cache(self, entry: SessionEntry, cache: SummaryCache) -> None:
         """Record an entry's refreshed SUM2 cache (and persist it)."""
         blob = dump_cache(cache)

@@ -286,6 +286,30 @@ class TestSessionQuery:
         assert again.metrics.phase2_solved == 0
         assert _canon(first.summary) == _canon(again.summary)
 
+    def test_warm_query_reuses_frontend_fingerprints(
+        self, small_benchmark, monkeypatch
+    ):
+        import repro.interproc.demand as demand
+
+        session = AnalysisSession.from_program(small_benchmark)
+        name = sorted(small_benchmark.routine_names())[0]
+        first = session.query(name)
+        calls = []
+        original = demand.routine_fingerprint
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(demand, "routine_fingerprint", counted)
+        again = session.query(name)
+        assert calls == []
+        assert _canon(again.summary) == _canon(first.summary)
+        # A fresh session over the same program fingerprints every
+        # routine once, through the same module binding.
+        AnalysisSession.from_program(small_benchmark).query(name)
+        assert len(calls) == small_benchmark.routine_count
+
     def test_metrics_and_summaries_reflect_query(self, small_benchmark):
         session = AnalysisSession.from_program(small_benchmark)
         name = sorted(small_benchmark.routine_names())[0]
