@@ -3,9 +3,10 @@
 Three ablations, each isolating one mechanism the paper (or this
 reproduction) leans on:
 
-* **per-edge vs per-target labeling** — the paper labels each
+* **per-edge vs batched labeling** — the paper labels each
   flow-summary edge by solving its own CFG subgraph; we default to one
-  solve per target.  Identical labels (asserted), different build cost.
+  batched pass per routine shared across its targets.  Identical labels
+  (asserted), different build cost.
 * **§3.4 callee-saved filtering** — without it, every save/restore
   leaks into call-used/call-killed, destroying exactly the facts the
   Figure-1(c)/(d) optimizations need.
@@ -27,7 +28,7 @@ LABELING_BENCHMARKS = ["compress", "li", "go", "perl"]
 
 @pytest.mark.parametrize("name", LABELING_BENCHMARKS)
 def test_ablation_labeling_mode(benchmark, name):
-    """Per-target labeling (default) vs the paper-literal per-edge solve."""
+    """Batched labeling (default) vs the paper-literal per-edge solve."""
     program, _scaled = benchmark_program(name)
 
     def run_both():
@@ -43,7 +44,7 @@ def test_ablation_labeling_mode(benchmark, name):
     assert fast.result.equal_summaries(literal.result)
     record(
         "Ablation A: flow-summary labeling strategy",
-        ("Benchmark", "Per-target build (s)", "Per-edge build (s)", "Slowdown"),
+        ("Benchmark", "Batched build (s)", "Per-edge build (s)", "Slowdown"),
         (
             name,
             fast.timings.psg_build,

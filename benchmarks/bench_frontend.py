@@ -1,27 +1,18 @@
-"""Front-end fast path: batched labeling and the parallel front end.
+"""Front-end fast path: batched flow-summary labeling.
 
-Two measurements back the PR-5 claims:
-
-* ``test_frontend_stage_times`` — serial PSG-build time per benchmark
-  under the batched per-routine labeler versus the per-target labeler
-  it replaced.  Both strategies produce bit-identical flow-summary
-  labels (asserted by ``tests/test_psg.py``); the batched pass shares
-  boundary-cut structure and per-block transfer results across a
-  routine's targets, so its win grows with the number of call sites
-  per routine — winword (the call-heaviest PC shape) is the headline.
-
-* ``test_frontend_cold_speedup`` — cold end-to-end ``analyze()`` wall
-  time at ``--jobs 1`` versus ``--jobs 4``, where the parallel front
-  end fans CFG construction and local-set generation out across the
-  pool and ships the artifacts to the shard workers.  Summaries are
-  asserted byte-identical at both points; the ≥1.5x expectation is a
-  multicore-CI assertion only (``REPRO_BENCH_REQUIRE_SPEEDUP=1``) —
-  on a single-CPU host the pool can only add overhead.
+``test_frontend_stage_times`` measures serial PSG-build time per
+benchmark under the batched per-routine labeler (production) versus the
+paper-literal per-edge labeler (one subgraph solve per flow-summary
+edge).  Both strategies produce bit-identical flow-summary labels
+(asserted here and by ``tests/test_psg.py``); the batched pass shares
+boundary-cut structure and per-block transfer results across a
+routine's targets, so its win grows with the number of call sites per
+routine — winword (the call-heaviest PC shape) is the headline.  The
+speedup expectation is asserted only under
+``REPRO_BENCH_REQUIRE_SPEEDUP=1``.
 """
 
-import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -39,28 +30,17 @@ STAGE_BENCHMARKS = ["texim", "winword"]
 STAGE_HEADERS = (
     "Benchmark",
     "Routines",
-    "Per-target PSG (s)",
+    "Per-edge PSG (s)",
     "Batched PSG (s)",
     "PSG speedup",
-    "Per-target total (s)",
+    "Per-edge total (s)",
     "Batched total (s)",
 )
 
-COLD_HEADERS = (
-    "Benchmark",
-    "Routines",
-    "Jobs 1 (s)",
-    "Jobs 4 (s)",
-    "Speedup x4",
-    "Frontend wall (s)",
-    "Frontend busy (s)",
-)
 
-
-def _serial_timings(program, labeling: str):
-    config = AnalysisConfig(psg=PsgConfig(labeling=labeling))
-    session = AnalysisSession.from_program(program, config)
-    analysis = session.analyze(jobs=1)
+def _serial_timings(program, per_edge: bool):
+    config = AnalysisConfig(psg=PsgConfig(per_edge_labeling=per_edge))
+    analysis = AnalysisSession.from_program(program, config).analyze()
     return analysis.timings, dump_summaries(analysis.result)
 
 
@@ -69,28 +49,28 @@ def test_frontend_stage_times(benchmark, name):
     program, _shape = benchmark_program(name)
 
     def measure():
-        per_target, pt_blob = _serial_timings(program, "per-target")
-        batched, b_blob = _serial_timings(program, "batched")
-        return per_target, batched, pt_blob, b_blob
+        per_edge, pe_blob = _serial_timings(program, per_edge=True)
+        batched, b_blob = _serial_timings(program, per_edge=False)
+        return per_edge, batched, pe_blob, b_blob
 
-    per_target, batched, pt_blob, b_blob = benchmark.pedantic(
+    per_edge, batched, pe_blob, b_blob = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
 
     # Identical summaries are the equivalence contract, host-independent.
-    assert pt_blob == b_blob
+    assert pe_blob == b_blob
 
-    speedup = per_target.psg_build / max(batched.psg_build, 1e-9)
+    speedup = per_edge.psg_build / max(batched.psg_build, 1e-9)
     record(
-        "Frontend batched labeling: batched vs per-target PSG build (serial)",
+        "Frontend batched labeling: batched vs per-edge PSG build (serial)",
         STAGE_HEADERS,
         (
             name,
             program.routine_count,
-            per_target.psg_build,
+            per_edge.psg_build,
             batched.psg_build,
             f"{speedup:.2f}x",
-            per_target.total,
+            per_edge.total,
             batched.total,
         ),
         note=(
@@ -104,62 +84,4 @@ def test_frontend_stage_times(benchmark, name):
         assert speedup >= 1.2, (
             f"expected a batched PSG-build win on winword, measured "
             f"{speedup:.2f}x"
-        )
-
-
-def test_frontend_cold_speedup(benchmark):
-    program, _shape = benchmark_program("gcc")
-
-    def measure():
-        times = {}
-        blobs = {}
-        frontend_wall = 0.0
-        frontend_busy = 0.0
-        for jobs in (1, 4):
-            session = AnalysisSession.from_program(program)
-            start = time.perf_counter()
-            analysis = session.analyze(jobs=jobs)
-            times[jobs] = time.perf_counter() - start
-            blobs[jobs] = dump_summaries(analysis.result)
-            if jobs == 4:
-                metrics = session.metrics()
-                frontend_wall = metrics.get("wall_seconds", {}).get(
-                    "frontend", 0.0
-                )
-                frontend_busy = sum(
-                    metrics.get("frontend_seconds", {}).values()
-                )
-        return times, blobs, frontend_wall, frontend_busy
-
-    times, blobs, frontend_wall, frontend_busy = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-
-    # Byte-identity always holds, whatever the host's core count.
-    assert blobs[4] == blobs[1]
-
-    speedup = times[1] / max(times[4], 1e-9)
-    record(
-        "Frontend parallel cold start: end-to-end analyze, jobs 1 vs 4 (gcc)",
-        COLD_HEADERS,
-        (
-            "gcc",
-            program.routine_count,
-            times[1],
-            times[4],
-            f"{speedup:.2f}x",
-            frontend_wall,
-            frontend_busy,
-        ),
-        note=(
-            f"host CPUs: {multiprocessing.cpu_count()}; summaries verified "
-            "byte-identical at jobs 1 and 4. The speedup assertion runs "
-            "only under REPRO_BENCH_REQUIRE_SPEEDUP=1 (multicore CI)."
-        ),
-    )
-
-    if REQUIRE_SPEEDUP:
-        assert speedup >= 1.5, (
-            f"expected >=1.5x cold at jobs 4 on gcc, measured "
-            f"{speedup:.2f}x on {multiprocessing.cpu_count()} CPUs"
         )

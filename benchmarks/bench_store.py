@@ -17,8 +17,8 @@ and the table shows the per-variant cold cost amortizing toward the
 incremental floor (CFG build + fingerprinting) as the store warms.
 
 Assertions: summaries are byte-identical with the store enabled,
-disabled, and deliberately poisoned, cold and warm-incremental, at
-jobs 1/2/4 — always.  The headline ≥2x on variant K vs variant 1 is
+disabled, and deliberately poisoned, cold and warm-incremental —
+always.  The headline ≥2x on variant K vs variant 1 is
 asserted under ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` (the speedup is
 algorithmic, not multicore, but the gate keeps noisy single-run CI
 hosts from flaking the default run).
@@ -158,7 +158,7 @@ def _cold(program, config):
     # generational sweep cannot land inside it and skew the curve.
     gc.collect()
     start = time.perf_counter()
-    analysis = session.analyze_incremental(jobs=1)
+    analysis = session.analyze_incremental()
     return analysis, time.perf_counter() - start
 
 
@@ -246,7 +246,7 @@ def test_store_amortizes_linked_variants(benchmark, tmp_path):
         )
 
 
-def test_store_byte_identity_poisoned_warm_and_parallel(tmp_path):
+def test_store_byte_identity_poisoned_and_warm(tmp_path):
     programs = _family()
     program = programs[0]
     variant = programs[1]
@@ -256,17 +256,15 @@ def test_store_byte_identity_poisoned_warm_and_parallel(tmp_path):
 
     baseline = AnalysisSession.from_program(
         program, off_config
-    ).analyze_incremental(jobs=1)
+    ).analyze_incremental()
     expected = dump_summaries(baseline.result)
 
     # Cold publish, then a poisoned store must be a clean full miss.
-    AnalysisSession.from_program(program, store_config).analyze_incremental(
-        jobs=1
-    )
+    AnalysisSession.from_program(program, store_config).analyze_incremental()
     assert _poison(root) > 0
     poisoned = AnalysisSession.from_program(
         program, store_config
-    ).analyze_incremental(jobs=1)
+    ).analyze_incremental()
     assert poisoned.metrics.phase1_store_hits == 0
     assert dump_summaries(poisoned.result) == expected
 
@@ -274,20 +272,17 @@ def test_store_byte_identity_poisoned_warm_and_parallel(tmp_path):
     shutil.rmtree(root)
     cold = AnalysisSession.from_program(
         program, store_config
-    ).analyze_incremental(jobs=1)
+    ).analyze_incremental()
     warm = AnalysisSession.from_program(
         program, store_config
-    ).analyze_incremental(cache=load_cache(dump_cache(cold.cache)), jobs=1)
+    ).analyze_incremental(cache=load_cache(dump_cache(cold.cache)))
     assert dump_summaries(warm.result) == expected
 
-    # jobs 1/2/4: parallel runs publish from the merge and never
-    # consult, so they are byte-identical by construction — asserted
-    # anyway, against the store-less serial result.
-    for jobs in (1, 2, 4):
-        parallel = AnalysisSession.from_program(
-            variant, AnalysisConfig(store=SummaryStore(root))
-        ).analyze(jobs=jobs)
-        off = AnalysisSession.from_program(variant, off_config).analyze(
-            jobs=1
-        )
-        assert dump_summaries(parallel.result) == dump_summaries(off.result)
+    # A plain analyze() publishes after solving and never consults, so
+    # it is byte-identical by construction — asserted anyway, against
+    # the store-less result.
+    published = AnalysisSession.from_program(
+        variant, AnalysisConfig(store=SummaryStore(root))
+    ).analyze()
+    off = AnalysisSession.from_program(variant, off_config).analyze()
+    assert dump_summaries(published.result) == dump_summaries(off.result)

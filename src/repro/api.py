@@ -1,34 +1,33 @@
 """The public analysis API: one session object, one config, one error.
 
-Everything the package can do to a program — analyze it (serial,
-sharded-parallel, or incrementally against a summary cache), optimize
-it, and report on the work — historically lived on free functions
-scattered across submodules (``repro.interproc.analysis``,
+Everything the package can do to a program — analyze it (whole
+program, incrementally against a summary cache, or on demand for one
+routine), optimize it, and report on the work — historically lived on
+free functions scattered across submodules (``repro.interproc.analysis``,
 ``repro.interproc.incremental``, ``repro.opt.pipeline``).  Each grew
 its own entry point, its own way of accepting a program, and its own
 failure modes.  This module fronts them all with a single facade:
 
 >>> from repro.api import AnalysisSession
 >>> session = AnalysisSession.from_image_bytes(blob)
->>> analysis = session.analyze(jobs=4)          # sharded parallel
+>>> analysis = session.analyze()
 >>> session.summaries().summaries["main"].call_used
 >>> session.metrics()                           # JSON-ready stats
 
 Every constructor accepts an optional :class:`AnalysisConfig`; e.g. to
-pin the flow-summary labeling strategy (``"batched"`` is the default,
-``"per-target"`` the pre-batching implementation — results are
-identical, see :mod:`repro.dataflow.equations`):
+label flow-summary edges with the paper's literal per-edge procedure
+instead of the batched labeler (results are identical, see
+:mod:`repro.dataflow.equations`):
 
 >>> from repro.psg.build import PsgConfig
->>> config = AnalysisConfig(psg=PsgConfig(labeling="per-target"))
+>>> config = AnalysisConfig(psg=PsgConfig(per_edge_labeling=True))
 >>> session = AnalysisSession.from_image_bytes(blob, config)
 
 Construction never analyzes; the first ``analyze*`` call does, and its
 products are retained on the session for ``summaries()``/``metrics()``.
 Failures that prevent an analysis from completing — a PSG that cannot
-represent the program, a diverging solver, a crashed worker process —
-are normalized to :class:`~repro.interproc.errors.AnalysisError`;
-unparseable images raise
+represent the program, a diverging solver — are normalized to
+:class:`~repro.interproc.errors.AnalysisError`; unparseable images raise
 :class:`~repro.program.image.ImageFormatError` instead — from the
 constructor, or from the first run when the decoded code cannot form a
 control-flow graph (a branch or jump table targeting outside its
@@ -42,24 +41,17 @@ The old free functions still work but are deprecated shims around this
 facade (they emit :class:`DeprecationWarning`); new code should not
 import them.
 
-Worker-count resolution, everywhere in the facade: an explicit
-``jobs=`` argument wins, then :attr:`AnalysisConfig.jobs`, then the
-``REPRO_JOBS`` environment variable, then 1 (serial).  0 or a negative
-value means "one worker per available CPU".
-
-Solver-core resolution mirrors it: :attr:`AnalysisConfig.solver_core`
-wins, then the ``REPRO_SOLVER_CORE`` environment variable, then
-``"object"``.  ``"flat"`` runs the CSR-arena fast path, ``"object"``
-the object-graph engines, ``"fifo"`` the legacy FIFO scheduling —
-summaries are bit-identical for every choice, at every worker count
-(see :mod:`repro.interproc.flatcore`).
+Solver-core resolution: :attr:`AnalysisConfig.solver_core` wins, then
+the ``REPRO_SOLVER_CORE`` environment variable, then ``"object"``.
+``"flat"`` runs the CSR-arena fast path, ``"object"`` the object-graph
+engines — summaries are bit-identical for either choice (see
+:mod:`repro.interproc.flatcore`).
 """
 
 from __future__ import annotations
 
 import gc
 import logging
-import os
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -75,16 +67,11 @@ from repro.interproc.analysis import (
     _analyze_program,
 )
 from repro.interproc.demand import QueryResult, query_routine
-from repro.interproc.errors import (
-    AnalysisError,
-    JobsConfigError,
-    UnknownRoutineError,
-)
+from repro.interproc.errors import AnalysisError, UnknownRoutineError
 from repro.interproc.incremental import (
     IncrementalAnalysis,
     _analyze_incremental,
 )
-from repro.interproc.parallel import ParallelAnalysis, analyze_parallel
 from repro.interproc.persist import SummaryCache, image_fingerprint
 from repro.interproc.results import SCHEMA_VERSION, validate_payload
 from repro.interproc.summaries import SummarySet, RoutineSummary
@@ -105,7 +92,6 @@ __all__ = [
     "AnalysisError",
     "AnalysisResult",
     "AnalysisSession",
-    "JobsConfigError",
     "QueryResult",
     "RoutineSummary",
     "SCHEMA_VERSION",
@@ -121,7 +107,7 @@ class AnalysisResult(Protocol):
 
     :meth:`AnalysisSession.analyze`, :meth:`~AnalysisSession.
     analyze_incremental` and :meth:`~AnalysisSession.query` return
-    four concrete types (serial, parallel, incremental, query); all of
+    three concrete types (serial, incremental, query); all of
     them satisfy this protocol, so callers that only consume results
     never need to know which engine produced them.  ``to_json()`` is
     the versioned external shape (``"schema": 1``) — the CLI
@@ -129,10 +115,8 @@ class AnalysisResult(Protocol):
     both exactly this payload (see :mod:`repro.interproc.results`).
     """
 
-    #: ``"serial"``, ``"parallel"``, ``"incremental"`` or ``"query"``.
+    #: ``"serial"``, ``"incremental"`` or ``"query"``.
     kind: str
-    #: True when the run solved on the sharded worker pool.
-    is_parallel: bool
 
     @property
     def result(self) -> SummarySet: ...
@@ -146,9 +130,6 @@ class AnalysisResult(Protocol):
     ) -> Mapping[str, object]: ...
 
 _log = logging.getLogger(__name__)
-
-#: Environment variable consulted for the default worker count.
-JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Environment variable consulted for the default solver core
 #: (re-exported from :mod:`repro.interproc.flatcore` for discovery).
@@ -196,19 +177,6 @@ def _gc_paused() -> Iterator[None]:
                 gc.enable()
 
 
-def _jobs_from_env() -> Optional[int]:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise JobsConfigError(
-            f"{JOBS_ENV_VAR} must be an integer, got {raw!r} "
-            "(0 or negative means one worker per CPU)"
-        ) from None
-
-
 class AnalysisSession:
     """One program plus everything analyzed about it so far.
 
@@ -232,7 +200,6 @@ class AnalysisSession:
         self._image_bytes = image_bytes
         self._last: Union[
             InterproceduralAnalysis,
-            ParallelAnalysis,
             IncrementalAnalysis,
             QueryResult,
             None,
@@ -325,25 +292,16 @@ class AnalysisSession:
     # Analyses
     # ------------------------------------------------------------------
 
-    def _resolve_jobs(self, jobs: Optional[int]) -> int:
-        if jobs is None and self._config.jobs == 1:
-            jobs = _jobs_from_env()
-        from repro.interproc.parallel import resolve_jobs
-
-        return resolve_jobs(jobs, self._config)
-
     @contextmanager
-    def _run(
-        self, kind: str, jobs: int, name: str, /, **args
-    ) -> Iterator[None]:
+    def _run(self, kind: str, name: str, /, **args) -> Iterator[None]:
         """One traced run: failures normalized to :class:`AnalysisError`
         (or :class:`ImageFormatError` for code that cannot form a CFG),
         RegisterSet constructions folded into the registry."""
         if current_run_id() is None:
             new_run_id()
         _log.info(
-            "%s analysis starting: %d routines, jobs=%d",
-            kind, self._program.routine_count, jobs,
+            "%s analysis starting: %d routines",
+            kind, self._program.routine_count,
         )
         try:
             with span(name, **args):
@@ -366,49 +324,30 @@ class AnalysisSession:
             self._regset_base = count
 
     @_gc_paused()
-    def analyze(
-        self, jobs: Optional[int] = None
-    ) -> Union[InterproceduralAnalysis, ParallelAnalysis]:
-        """Run the full two-phase interprocedural analysis.
-
-        With an effective worker count of 1 this is the serial driver
-        (and the result exposes the whole-program PSG); above 1 the
-        sharded parallel solver runs, with bit-identical summaries.
-        """
-        effective = self._resolve_jobs(jobs)
-        kind = "parallel" if effective > 1 else "serial"
-        with self._run(kind, effective, "analyze", jobs=effective):
-            if effective > 1:
-                self._last = analyze_parallel(
-                    self._program, self._config, jobs=effective
-                )
-            else:
-                self._last = _analyze_program(self._program, self._config)
+    def analyze(self) -> InterproceduralAnalysis:
+        """Run the full two-phase interprocedural analysis (the result
+        exposes the whole-program PSG)."""
+        with self._run("serial", "analyze"):
+            self._last = _analyze_program(self._program, self._config)
         return self._last
 
     @_gc_paused()
     def analyze_incremental(
-        self,
-        cache: Optional[SummaryCache] = None,
-        jobs: Optional[int] = None,
+        self, cache: Optional[SummaryCache] = None
     ) -> IncrementalAnalysis:
         """Analyze incrementally against ``cache`` (cold when ``None``).
 
         The returned :attr:`IncrementalAnalysis.cache` is the refreshed
-        cache to persist for the next warm run; with ``jobs > 1`` the
-        dirty shards are re-solved on a worker pool.
+        cache to persist for the next warm run.
         """
-        effective = self._resolve_jobs(jobs)
         with self._run(
-            "incremental", effective, "analyze_incremental",
-            jobs=effective, warm=cache is not None,
+            "incremental", "analyze_incremental", warm=cache is not None
         ):
             self._last = _analyze_incremental(
                 self._program,
                 cache=cache,
                 config=self._config,
                 image_fingerprint=self.image_fingerprint,
-                jobs=effective,
             )
         return self._last
 
@@ -434,14 +373,10 @@ class AnalysisSession:
         Raises :class:`UnknownRoutineError` for a routine the program
         does not contain.
         """
-        # Queries solve serially, but resolve the worker config anyway
-        # so a malformed REPRO_JOBS fails here as cleanly as it does
-        # for analyze() (JobsConfigError -> CLI usage error).
-        self._resolve_jobs(None)
         if cache is None:
             cache = self._query_cache
         with self._run(
-            "query", 1, "query", routine=routine, warm=cache is not None
+            "query", "query", routine=routine, warm=cache is not None
         ):
             result = query_routine(
                 self._program,
@@ -470,7 +405,7 @@ class AnalysisSession:
         """
         from repro.opt.pipeline import PASS_NAMES, _optimize_program
 
-        with self._run("optimize", 1, "optimize"):
+        with self._run("optimize", "optimize"):
             return _optimize_program(
                 self._program,
                 passes=PASS_NAMES if passes is None else passes,
@@ -484,8 +419,8 @@ class AnalysisSession:
     # ------------------------------------------------------------------
 
     def summaries(self) -> SummarySet:
-        """Per-routine summaries of the most recent analysis (running a
-        serial :meth:`analyze` first if none has been run).
+        """Per-routine summaries of the most recent analysis (running
+        :meth:`analyze` first if none has been run).
 
         After a :meth:`query` this is the memoized cache's view: the
         queried cone is fresh, other routines carry whatever earlier
@@ -505,16 +440,13 @@ class AnalysisSession:
     def metrics(self) -> Dict[str, object]:
         """JSON-ready metrics of the most recent analysis.
 
-        Always includes ``kind`` (``"serial"``, ``"parallel"``,
-        ``"incremental"`` or ``"query"``) and ``routines``; the
-        remaining keys depend
-        on the kind (stage timings for serial runs, shard/utilization
-        records for parallel runs, solved/reused counts — plus a
-        ``parallel`` sub-object when applicable — for incremental
-        runs).  ``counters`` carries the obs-registry delta since this
-        session was constructed — cache hit/miss/stale/write, per-phase
-        worklist iterations and queue depths, PSG sizes, regset
-        constructions — with worker-process contributions merged in.
+        Always includes ``kind`` (``"serial"``, ``"incremental"`` or
+        ``"query"``) and ``routines``; the remaining keys depend on the
+        kind (stage timings for serial runs, solved/reused counts for
+        incremental runs, cone sizes for queries).  ``counters``
+        carries the obs-registry delta since this session was
+        constructed — cache hit/miss/stale/write, per-phase worklist
+        iterations and queue depths, PSG sizes, regset constructions.
         Empty when nothing has been analyzed yet.
         """
         last = self._last
@@ -531,7 +463,7 @@ class AnalysisSession:
     @_gc_paused()
     def to_json(self, include_summaries: bool = False) -> Dict[str, object]:
         """The schema-1 JSON payload of the most recent analysis
-        (running a serial :meth:`analyze` first if none has been run).
+        (running :meth:`analyze` first if none has been run).
 
         This is the one external result shape: the CLI ``--json``
         output and every ``repro.service`` daemon response body are

@@ -4,8 +4,7 @@ Subcommands:
 
 * ``analyze <image>`` — run the interprocedural dataflow analysis on a
   SAX executable image and print per-routine summaries plus the §4
-  measurements (sizes, stage times, memory); ``--jobs N`` solves on a
-  sharded worker pool (bit-identical results), ``--incremental``
+  measurements (sizes, stage times, memory); ``--incremental``
   warm-starts from (and refreshes) a ``SUM2`` cache sidecar, and
   ``--json`` emits one machine-readable stats object instead of text;
 * ``disasm <image>`` — print a disassembly listing;
@@ -23,8 +22,8 @@ Subcommands:
 
 Observability: ``analyze --trace FILE`` exports a Chrome trace-event
 JSON of the run's spans (open it in https://ui.perfetto.dev),
-``--stats`` prints the obs counter block for any analyze mode (cold,
-parallel, or incremental), and ``--log-level`` / the ``REPRO_LOG``
+``--stats`` prints the obs counter block for any analyze mode (cold or
+incremental), and ``--log-level`` / the ``REPRO_LOG``
 environment variable turn on structured logging for the ``repro.*``
 logger tree.
 
@@ -32,8 +31,8 @@ All analysis goes through :class:`repro.api.AnalysisSession`.  Exit
 codes are distinct per failure class so scripts can tell them apart:
 
 * 0 — success;
-* 2 — usage error (bad flags or flag combinations, a malformed
-  ``REPRO_JOBS`` value, or a query for an unknown routine);
+* 2 — usage error (bad flags or flag combinations, or a query for an
+  unknown routine);
 * 3 — the input image could not be read or parsed, or its code
   cannot form a control-flow graph;
 * 4 — the analysis itself failed (:class:`AnalysisError`);
@@ -51,11 +50,9 @@ import sys
 from typing import List, Optional
 
 from repro.api import (
-    JOBS_ENV_VAR,
     AnalysisConfig,
     AnalysisError,
     AnalysisSession,
-    JobsConfigError,
     UnknownRoutineError,
 )
 from repro.dataflow.regset import RegisterSet
@@ -179,7 +176,7 @@ def _cmd_analyze_incremental(
             cache_note = f"warm ({cache_path})"
         except (SummaryFormatError, OSError) as error:
             cache_note = f"cold (unreadable cache: {error})"
-    incremental = session.analyze_incremental(cache=cache, jobs=args.jobs)
+    incremental = session.analyze_incremental(cache=cache)
     metrics = incremental.metrics
     program = session.program
     if args.json:
@@ -200,9 +197,6 @@ def _cmd_analyze_incremental(
         if args.stats:
             print()
             print(metrics.render())
-            if incremental.parallel is not None:
-                print()
-                print(incremental.parallel.render())
             _print_counters(session)
     if args.routines:
         _print_routine_summaries(incremental.result, args.routines)
@@ -251,12 +245,7 @@ def _analysis_config(
         return None
     from repro.psg.build import PsgConfig
 
-    if labeling is None:
-        psg = PsgConfig()
-    elif labeling == "per-edge":
-        psg = PsgConfig(per_edge_labeling=True)
-    else:
-        psg = PsgConfig(labeling=labeling)
+    psg = PsgConfig(per_edge_labeling=labeling == "per-edge")
     store = None
     if store_dir is not None:
         from repro.interproc.store import SummaryStore
@@ -281,27 +270,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.incremental:
             return _cmd_analyze_incremental(args, session, image_bytes)
-        jobs = args.jobs
-        if args.annotate or args.dot:
-            if jobs is not None and jobs != 1:
-                print(
-                    "--annotate/--dot need the whole-program PSG; "
-                    "use --jobs 1 with them",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            jobs = 1  # force serial even when REPRO_JOBS says otherwise
-            if os.environ.get(JOBS_ENV_VAR):
-                print(
-                    f"note: --annotate/--dot force a serial solve; "
-                    f"ignoring {JOBS_ENV_VAR}="
-                    f"{os.environ[JOBS_ENV_VAR]!r}",
-                    file=sys.stderr,
-                )
-        analysis = session.analyze(jobs=jobs)
-    except JobsConfigError as error:
-        print(str(error), file=sys.stderr)
-        return EXIT_USAGE
+        analysis = session.analyze()
     except AnalysisError as error:
         print(f"analysis failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -419,7 +388,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             cache_note = f"cold (unreadable cache: {error})"
     try:
         result = session.query(args.routine, cache=cache)
-    except (JobsConfigError, UnknownRoutineError) as error:
+    except UnknownRoutineError as error:
         print(str(error), file=sys.stderr)
         return EXIT_USAGE
     except AnalysisError as error:
@@ -486,7 +455,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # registry gates it; this subcommand is the only consumer.
     REGISTRY.per_routine = True
     try:
-        session.analyze(jobs=1)
+        session.analyze()
     except AnalysisError as error:
         print(f"analysis failed: {error}", file=sys.stderr)
         return EXIT_ANALYSIS
@@ -602,7 +571,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         cache_dir=args.cache_dir,
         max_bytes=args.max_bytes,
-        jobs=args.jobs,
         trace_dir=args.trace_dir,
         trace_sample=args.trace_sample,
         store_dir=args.store_dir,
@@ -657,34 +625,27 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="analyze an executable image")
     analyze.add_argument("image")
     analyze.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help=(
-            "solve on N worker processes (0 = one per CPU); results are "
-            "bit-identical at any setting (default: REPRO_JOBS or 1)"
-        ),
-    )
-    analyze.add_argument(
         "--json", action="store_true",
         help="print one machine-readable JSON stats object",
     )
     analyze.add_argument(
-        "--labeling", choices=["batched", "per-target", "per-edge"],
+        "--labeling", choices=["batched", "per-edge"],
         default=None, metavar="STRATEGY",
         help=(
             "flow-summary labeling strategy: batched (default; one "
-            "region pass per routine), per-target (one worklist solve "
-            "per PSG target), or per-edge (the paper's literal Figure-6 "
-            "formulation; slowest).  All three produce identical labels"
+            "region pass per routine) or per-edge (the paper's literal "
+            "Figure-6 formulation; slowest).  Both produce identical "
+            "labels"
         ),
     )
     analyze.add_argument(
-        "--solver-core", choices=["flat", "object", "fifo"],
+        "--solver-core", choices=["flat", "object"],
         default=None, metavar="CORE",
         help=(
-            "two-phase solver core: flat (CSR-arena fast path), object "
-            "(object-graph engines; default), or fifo (legacy FIFO "
-            "scheduling, kept for bisects).  Summaries are bit-identical "
-            "for every choice (default: REPRO_SOLVER_CORE or object)"
+            "two-phase solver core: flat (CSR-arena fast path) or object "
+            "(object-graph engines; default).  Summaries are "
+            "bit-identical for either choice (default: "
+            "REPRO_SOLVER_CORE or object)"
         ),
     )
     analyze.add_argument(
@@ -730,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--trace", metavar="FILE",
         help=(
-            "record spans for the whole run (workers included) and "
+            "record spans for the whole run and "
             "write a Chrome trace-event JSON; open in "
             "https://ui.perfetto.dev"
         ),
@@ -782,12 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one machine-readable JSON object (summary + stats)",
     )
     query.add_argument(
-        "--labeling", choices=["batched", "per-target", "per-edge"],
+        "--labeling", choices=["batched", "per-edge"],
         default=None, metavar="STRATEGY",
         help="flow-summary labeling strategy (see analyze --labeling)",
     )
     query.add_argument(
-        "--solver-core", choices=["flat", "object", "fifo"],
+        "--solver-core", choices=["flat", "object"],
         default=None, metavar="CORE",
         help="two-phase solver core (see analyze --solver-core)",
     )
@@ -867,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
             "retained-session byte budget; least-recently-used "
             "sessions are evicted beyond it (default 256 MiB)"
         ),
-    )
-    serve.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="default worker count for solves (per-request jobs wins)",
     )
     serve.add_argument(
         "--trace-dir", default=None, metavar="DIR",

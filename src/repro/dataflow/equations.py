@@ -236,10 +236,11 @@ def _tarjan_sccs(successors: Sequence[Sequence[int]]) -> List[int]:
 class BatchedLabeler:
     """Per-routine batched Figure-6 solver shared across all targets.
 
-    The per-target strategy rebuilds the whole dataflow problem — dense
-    remapping, edge list, solver, traversal order — once per target, so
-    a routine with T targets re-applies every shared block's transfer
-    up to T times with fresh allocations each time.  This class builds
+    Solving each target's region with :func:`solve_summary_subgraph`
+    would rebuild the whole dataflow problem — dense remapping, edge
+    list, solver, traversal order — once per target, so a routine with
+    T targets would re-apply every shared block's transfer up to T
+    times with fresh allocations each time.  This class builds
     the boundary-cut graph structure *once* per routine:
 
     * cut successor/predecessor lists (a blocked block's outgoing arcs
@@ -266,8 +267,9 @@ class BatchedLabeler:
     Each has a *unique* lfp/gfp for a given boundary, and hierarchical
     iteration — solving downstream SCCs to completion before upstream
     ones — computes exactly that fixed point, so the batched labels are
-    bit-identical to the per-target and per-edge strategies (the
-    labeling-equivalence tests gate this).
+    bit-identical to the per-edge strategy and to a per-target
+    :func:`solve_summary_subgraph` solve (the labeling-equivalence
+    tests gate this).
     """
 
     def __init__(

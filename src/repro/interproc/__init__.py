@@ -16,10 +16,8 @@ The two-phase analysis over the Program Summary Graph:
 * :mod:`repro.interproc.incremental` — fingerprint-scoped incremental
   re-analysis over the call-graph SCC condensation, warm-started from
   a persisted :class:`~repro.interproc.persist.SummaryCache`;
-* :mod:`repro.interproc.parallel` — the sharded parallel solver: the
-  condensation partitioned into cost-balanced shards, solved on a
-  worker pool callee-first (phase 1) then caller-first (phase 2), with
-  results bit-identical to the serial driver at any worker count;
+* :mod:`repro.interproc.demand` — demand-driven queries: one
+  routine's answer from the incremental engine scoped to its cones;
 * :mod:`repro.interproc.baseline` — the whole-program-CFG analysis
   [Srivastava93] used as the comparison baseline and as a correctness
   oracle for the PSG path.
@@ -43,11 +41,6 @@ from repro.interproc.savedregs import (
 from repro.interproc.baseline import analyze_program_baseline
 from repro.interproc.errors import AnalysisError
 from repro.interproc.incremental import IncrementalAnalysis, routine_fingerprint
-from repro.interproc.parallel import (
-    ParallelAnalysis,
-    analyze_incremental_parallel,
-    analyze_parallel,
-)
 from repro.interproc.persist import (
     SummaryCache,
     SummaryFormatError,
@@ -65,14 +58,11 @@ __all__ = [
     "CallSiteSummary",
     "IncrementalAnalysis",
     "InterproceduralAnalysis",
-    "ParallelAnalysis",
     "RoutineSummary",
     "SaveRestoreSites",
     "StageTimings",
     "SummaryCache",
     "SummaryFormatError",
-    "analyze_incremental_parallel",
-    "analyze_parallel",
     "analyze_program_baseline",
     "dump_cache",
     "dump_summaries",

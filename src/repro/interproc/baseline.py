@@ -363,8 +363,7 @@ def analyze_program_baseline(
 
 def _iterate(count: int, dependents: List[List[int]], transfer) -> None:
     """One chaotic-iteration pass over the flat CFG, riding the shared
-    priority-worklist engine (reverse block order as the rank key, the
-    same seeding the deque version used)."""
+    priority-worklist engine (reverse block order as the rank key)."""
     worklist = SubgraphWorklist(
         count, dependents, bytearray(count), range(count - 1, -1, -1)
     )

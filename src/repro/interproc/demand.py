@@ -137,10 +137,6 @@ class QueryResult:
     #: ``routines``/``instructions`` payload fields).
     program: Optional[object] = None
 
-    #: Queries always solve serially (the cones are usually far
-    #: smaller than a shard); kept for result-type uniformity.
-    is_parallel: bool = False
-
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "query"
 

@@ -1,12 +1,10 @@
 """Analysis-level failure type.
 
 The solvers raise precise internal errors (``PsgBuildError``,
-``SolverDivergence``, pickling failures, worker-process deaths).  The
-session facade and the parallel scheduler normalize anything that
+``SolverDivergence``).  The session facade normalizes anything that
 prevents an analysis from completing into :class:`AnalysisError`, so
 callers — the CLI in particular — have one exception to map to one
-exit code, and a crashed worker process surfaces as a clean raise
-instead of a hung pool.
+exit code.
 """
 
 from __future__ import annotations
@@ -14,16 +12,6 @@ from __future__ import annotations
 
 class AnalysisError(RuntimeError):
     """An interprocedural analysis run could not be completed."""
-
-
-class JobsConfigError(AnalysisError):
-    """The worker-count configuration is unusable.
-
-    Raised when the ``REPRO_JOBS`` environment variable is not an
-    integer.  A subclass of :class:`AnalysisError` for API
-    compatibility, but the CLI maps it to the *usage* exit code (2):
-    the run never started, so "analysis failed" (4) would mislead.
-    """
 
 
 class UnknownRoutineError(AnalysisError):

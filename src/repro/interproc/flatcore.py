@@ -33,9 +33,7 @@ Core selection (``--solver-core`` / ``REPRO_SOLVER_CORE``):
 
 * ``flat``   — the arena fast path in this module;
 * ``object`` — the object-graph engines with priority scheduling (the
-  default);
-* ``fifo``   — the object engines with the pre-priority FIFO deque,
-  kept as a bisect and iteration-count baseline.
+  default).
 """
 
 from __future__ import annotations
@@ -63,11 +61,11 @@ __all__ = [
 ]
 
 #: Recognized solver cores (see module docstring).
-SOLVER_CORES = ("flat", "object", "fifo")
+SOLVER_CORES = ("flat", "object")
 
-#: Environment variable consulted for the default core (mirrors
-#: ``REPRO_JOBS``): explicit argument > ``AnalysisConfig.solver_core`` >
-#: environment > ``"object"``.
+#: Environment variable consulted for the default core: explicit
+#: argument > ``AnalysisConfig.solver_core`` > environment >
+#: ``"object"``.
 SOLVER_CORE_ENV_VAR = "REPRO_SOLVER_CORE"
 
 

@@ -74,7 +74,7 @@ from repro.interproc.summaries import (
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import span
 from repro.psg.build import PartialPsg, build_partial_psg
-from repro.reporting.metrics import IncrementalMetrics, ParallelMetrics
+from repro.reporting.metrics import IncrementalMetrics
 
 _log = logging.getLogger(__name__)
 
@@ -85,8 +85,7 @@ def record_fingerprint_verdicts(
     """Classify every routine's fingerprint against ``cache`` and push
     the per-run cache.hit / cache.stale / cache.miss counters.
 
-    Returns the dirty set (stale + missing).  Shared by the serial warm
-    engine and the parallel warm path so both report identically.
+    Returns the dirty set (stale + missing).
     """
     hits = stale = missing = 0
     dirty: Set[str] = set()
@@ -146,28 +145,16 @@ class IncrementalAnalysis:
     cache: SummaryCache
     metrics: IncrementalMetrics
     condensation: Optional[Condensation] = None
-    #: Shard/pool metrics when the run was solved in parallel
-    #: (``jobs > 1``); ``None`` for serial runs.
-    parallel: Optional[ParallelMetrics] = None
 
     #: Result-protocol kind tag (see :mod:`repro.interproc.results`).
     kind = "incremental"
-
-    @property
-    def is_parallel(self) -> bool:
-        """True when the run was solved on the sharded worker pool."""
-        return self.parallel is not None
 
     def summary(self, routine: str) -> RoutineSummary:
         return self.result.summaries[routine]
 
     def stats(self) -> Dict[str, object]:
-        """Kind-specific stats: incremental work accounting (plus the
-        shard/pool record when the dirty cone solved in parallel)."""
-        payload: Dict[str, object] = dict(self.metrics.as_dict())
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel.as_dict()
-        return payload
+        """Kind-specific stats: incremental work accounting."""
+        return dict(self.metrics.as_dict())
 
     def to_json(self, counters=None, include_summaries: bool = False):
         """The versioned (schema 1) result payload; see
@@ -182,7 +169,6 @@ def _analyze_incremental(
     cache: Optional[SummaryCache] = None,
     config: Optional[AnalysisConfig] = None,
     image_fingerprint: int = 0,
-    jobs: Optional[int] = None,
 ) -> IncrementalAnalysis:
     """Analyze ``program``, reusing ``cache`` where fingerprints allow.
 
@@ -191,28 +177,8 @@ def _analyze_incremental(
     seeds future warm runs.  ``image_fingerprint`` is stored in the
     refreshed cache (it scopes the ``SUM1`` sidecar; the incremental
     engine itself invalidates per routine, not per image).
-
-    ``jobs`` (or ``config.jobs``) above 1 delegates to the sharded
-    parallel engine — dirty shards are re-solved on a worker pool,
-    clean shards keep their cached summaries — with bit-identical
-    results at any worker count.
     """
     config = config or AnalysisConfig()
-
-    from repro.interproc.parallel import resolve_jobs
-
-    effective_jobs = resolve_jobs(jobs, config)
-    if effective_jobs > 1:
-        from repro.interproc.parallel import analyze_incremental_parallel
-
-        return analyze_incremental_parallel(
-            program,
-            cache,
-            config,
-            image_fingerprint=image_fingerprint,
-            jobs=effective_jobs,
-        )
-
     metrics = IncrementalMetrics(routines_total=program.routine_count)
 
     if cache is None:
@@ -357,8 +323,7 @@ def orphaned_callees(
     call graph has no edge left to carry the retraction, so diff the
     cached target lists against it and re-solve the losers.  Clean
     survivors can be skipped: the fingerprint covers target lists, so
-    theirs cannot have moved.  (Shared by the serial warm engine and
-    the parallel dirty-shard selection.)
+    theirs cannot have moved.
     """
     orphaned: Set[str] = set()
     for name, summary in cached.items():

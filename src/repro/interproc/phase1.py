@@ -155,10 +155,9 @@ def run_phase1(
     values are never recomputed — which is how the incremental engine
     stitches cached callee summaries into a partial PSG.
 
-    ``core`` selects the solver data layout/scheduling (``flat`` /
-    ``object`` / ``fifo``, default via ``REPRO_SOLVER_CORE``); every
-    core converges to bit-identical results (see
-    :mod:`repro.interproc.flatcore`).
+    ``core`` selects the solver data layout (``flat`` / ``object``,
+    default via ``REPRO_SOLVER_CORE``); both cores converge to
+    bit-identical results (see :mod:`repro.interproc.flatcore`).
     """
     # Imported lazily to break the phase1 <-> flatcore cycle (flatcore
     # reuses Phase1Result and record_solve).
@@ -170,7 +169,6 @@ def run_phase1(
             psg, saved_restored, preserved_mask, seed_order,
             fixed_entries=fixed_entries,
         )
-    worklist_order = "fifo" if core == "fifo" else "priority"
     node_count = len(psg.nodes)
     nodes = psg.nodes
     may_def = [0] * node_count
@@ -251,7 +249,7 @@ def run_phase1(
 
     visit_counts = [0] * node_count if REGISTRY.per_routine else None
     defs_worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
+        node_count, dependents, is_exit, seed_order
     )
     iterations = defs_worklist.run(defs_transfer, visit_counts)
 
@@ -286,7 +284,7 @@ def run_phase1(
         return changed
 
     uses_worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
+        node_count, dependents, is_exit, seed_order
     )
     iterations += uses_worklist.run(uses_transfer, visit_counts)
     record_solve(

@@ -81,9 +81,9 @@ def run_phase2(
     return-point liveness must still reach the exits of the routines
     being re-solved, even though the callers themselves are not.
 
-    ``core`` selects the solver data layout/scheduling (``flat`` /
-    ``object`` / ``fifo``); every core converges to bit-identical
-    results (see :mod:`repro.interproc.flatcore`).
+    ``core`` selects the solver data layout (``flat`` / ``object``);
+    both cores converge to bit-identical results (see
+    :mod:`repro.interproc.flatcore`).
     """
     # Imported lazily to break the phase2 <-> flatcore cycle.
     from repro.interproc import flatcore
@@ -97,7 +97,6 @@ def run_phase2(
             seed_order,
             extra_exit_live=extra_exit_live,
         )
-    worklist_order = "fifo" if core == "fifo" else "priority"
     node_count = len(psg.nodes)
     nodes = psg.nodes
     may_use = [0] * node_count
@@ -137,7 +136,7 @@ def run_phase2(
     cr_edges = psg.call_return_edges
 
     worklist = SubgraphWorklist(
-        node_count, dependents, is_exit, seed_order, order=worklist_order
+        node_count, dependents, is_exit, seed_order
     )
 
     def transfer(node_id: int) -> bool:

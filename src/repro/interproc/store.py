@@ -27,7 +27,7 @@ Two record grades live side by side in one store directory:
 Both keys bind a *context digest* of every configuration knob that can
 change analysis results (calling conventions, callee-saved filtering,
 the PSG branch-node ablations).  Knobs documented bit-identical across
-settings — labeling strategy, per-edge labeling, solver core — are
+settings — per-edge labeling, solver core — are
 deliberately excluded so a flat-core solve can warm an object-core one.
 
 Layout: ``<store>/<hh>/<deepfp>.sum1r`` with 256-way fan-out on the
@@ -110,8 +110,8 @@ def config_digest(config) -> int:
 
     Bound: both conventions (analysis and PSG-build), callee-saved
     filtering, and the PSG branch-node ablations (Table 4 — they move
-    real dataflow facts).  Excluded: labeling strategy, per-edge
-    labeling, solver core, and jobs — all documented bit-identical.
+    real dataflow facts).  Excluded: per-edge labeling and solver
+    core — both documented bit-identical.
     """
     writer = _Writer()
     writer.u8(STORE_VERSION)
@@ -291,10 +291,8 @@ def load_summary_record(blob: bytes, key: int, name: str) -> RoutineSummary:
 class SummaryStore:
     """A shared, content-addressed directory of summary records.
 
-    A plain picklable dataclass: :class:`AnalysisConfig` instances are
-    shipped to parallel workers via pickle, so the store carries no
-    open handles — every operation opens, reads or renames, and
-    closes.
+    The store carries no open handles — every operation opens, reads
+    or renames, and closes.
     """
 
     root: str

@@ -2,9 +2,8 @@
 
 Three cooperating pieces, all stdlib-only:
 
-- :mod:`repro.obs.tracer` — hierarchical span tracing, merged across
-  the parallel solver's worker processes, exported as Chrome
-  trace-event JSON (``spike-analyze analyze --trace out.json``).
+- :mod:`repro.obs.tracer` — hierarchical span tracing, exported as
+  Chrome trace-event JSON (``spike-analyze analyze --trace out.json``).
 - :mod:`repro.obs.metrics` — the process-wide labeled counter/maxima
   registry surfaced in ``--json`` payloads, ``--stats``, and the
   ``spike-analyze report`` subcommand.

@@ -1,14 +1,14 @@
 """Structured logging for the ``repro.*`` logger tree.
 
 All pipeline modules log through stdlib ``logging`` under names rooted
-at ``repro`` (``repro.interproc.parallel``, ``repro.interproc.persist``,
+at ``repro`` (``repro.interproc.incremental``, ``repro.interproc.persist``,
 ...).  Nothing is emitted unless configured: either the CLI's
 ``--log-level`` flag or the ``REPRO_LOG`` environment variable (read on
 first ``repro.obs`` import, so library users get logging without code
 changes).
 
 Each record is stamped with the active run id (see
-:mod:`repro.obs.runid`) so interleaved output from repeated or parallel
+:mod:`repro.obs.runid`) so interleaved output from repeated or concurrent
 runs can be separated::
 
     2026-08-06 09:31:02,114 INFO    repro.api [1f2e3d4c5b6a] serial analysis starting: 42 routines

@@ -8,8 +8,7 @@ and are never implicitly reset.  Consumers that want per-run numbers —
 ``AnalysisSession.metrics()``, the CLI ``--stats`` block — take a
 :meth:`MetricsRegistry.snapshot` before the run and read
 :meth:`MetricsRegistry.delta_since` after it; histogram deltas are
-computed bucket-wise, so a delta over a worker-merged histogram equals
-the sum of the per-worker deltas.
+computed bucket-wise.
 
 Counter inventory (see ``docs/observability.md`` for semantics):
 
@@ -40,7 +39,6 @@ Counter inventory (see ``docs/observability.md`` for semantics):
                                  lookups (a corrupt record is a miss)
 ``store.write`` / ``store.bytes`` records published and their sizes
 ``store.evict``                  records removed by a store GC sweep
-``shards.solved{phase=}`` / ``shards.reused``     parallel scheduling
 ``query.requests``               demand-driven queries answered
 ``query.cone_routines{phase=}``  routines in the query's phase-1 /
                                  phase-2 cones, summed over queries
@@ -55,12 +53,6 @@ Histogram series (``service.request.seconds{endpoint=,warm=}``,
 ``service.stage.seconds{stage=}``) are inventoried in
 ``docs/observability.md``; a name must not be reused across kinds
 (counter vs maximum vs histogram).
-
-Cross-process behaviour mirrors the tracer: forked shard workers reset
-their inherited registry, accumulate locally, and ship
-``collect(clear=True)`` payloads back through the result pipe; the
-parent :meth:`merge`\\ s them (counters add, maxima max, histograms
-bucket-add).
 """
 
 from __future__ import annotations
@@ -68,20 +60,11 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
-from repro.obs.hist import Histogram, HistogramPayload
+from repro.obs.hist import Histogram
 
 #: Canonical key for one time series: ``(name, ((label, value), ...))``
 #: with the label pairs sorted.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
-
-#: Serialisable registry payload shipped from workers to the parent:
-#: ``(counter_items, maxima_items, histogram_items)``.  Pre-histogram
-#: 2-tuples are still accepted by :meth:`MetricsRegistry.merge`.
-MetricsPayload = Tuple[
-    List[Tuple[MetricKey, float]],
-    List[Tuple[MetricKey, float]],
-    List[Tuple[MetricKey, HistogramPayload]],
-]
 
 #: One snapshot entry: a counter value, or a frozen histogram state.
 SnapshotValue = Union[float, Histogram]
@@ -314,58 +297,6 @@ class MetricsRegistry:
                 dict(self._maxima),
                 {key: hist.copy() for key, hist in self._histograms.items()},
             )
-
-    # -- cross-process plumbing ---------------------------------------
-
-    def collect(self, clear: bool = False) -> MetricsPayload:
-        """Detach a payload for the result pipe (worker side)."""
-        with self._lock:
-            payload = (
-                list(self._counters.items()),
-                list(self._maxima.items()),
-                [
-                    (key, hist.to_payload())
-                    for key, hist in self._histograms.items()
-                ],
-            )
-            if clear:
-                self._counters = {}
-                self._maxima = {}
-                self._histograms = {}
-        return payload
-
-    def merge(self, payload: MetricsPayload) -> None:
-        """Absorb a worker payload: counters add, maxima max,
-        histograms bucket-add.  Pre-histogram 2-tuple payloads merge
-        with no histogram section."""
-        counters, maxima = payload[0], payload[1]
-        histograms = payload[2] if len(payload) > 2 else ()
-        with self._lock:
-            self._merge_locked(counters, maxima)
-            for key, hist_payload in histograms:
-                key = (key[0], tuple(tuple(pair) for pair in key[1]))
-                incoming = Histogram.from_payload(hist_payload)
-                existing = self._histograms.get(key)
-                if existing is None:
-                    self._histograms[key] = incoming
-                else:
-                    existing.merge(incoming)
-
-    def _merge_locked(self, counters, maxima) -> None:
-        for key, value in counters:
-            key = (key[0], tuple(tuple(pair) for pair in key[1]))
-            self._counters[key] = self._counters.get(key, 0) + value
-        for key, value in maxima:
-            key = (key[0], tuple(tuple(pair) for pair in key[1]))
-            if value > self._maxima.get(key, float("-inf")):
-                self._maxima[key] = value
-
-    def reset(self) -> None:
-        """Drop everything (worker init after fork; tests)."""
-        with self._lock:
-            self._counters = {}
-            self._maxima = {}
-            self._histograms = {}
 
 
 REGISTRY = MetricsRegistry()

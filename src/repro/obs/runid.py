@@ -2,9 +2,8 @@
 
 Every analysis run (one ``AnalysisSession.analyze*`` call, one CLI
 invocation, or one daemon request) is stamped with a short random hex
-identifier.  The same id appears in log lines, in the exported Chrome
-trace, and is shipped to parallel shard workers so that spans recorded
-in subprocesses can be correlated with the parent run.
+identifier.  The same id appears in log lines and in the exported
+Chrome trace, so the two can be correlated.
 
 The id is *thread-local*: the service daemon handles requests on worker
 threads and scopes one run id to each request, so interleaved log lines
@@ -27,7 +26,7 @@ def new_run_id() -> str:
 
 
 def set_run_id(value: str) -> str:
-    """Adopt an externally chosen run id (shard workers, the daemon)."""
+    """Adopt an externally chosen run id (the daemon)."""
     _STATE.run_id = value
     return value
 

@@ -2,8 +2,8 @@
 
 The tracer records *spans* — named, attributed wall-clock intervals —
 around every interesting unit of work: CFG construction, DEF/UBD
-initialisation, PSG build, per-SCC and per-shard phase-1/phase-2
-solves, incremental invalidation, and summary-cache I/O.  Spans nest
+initialisation, PSG build, per-SCC phase-1/phase-2 solves, incremental
+invalidation, and summary-cache I/O.  Spans nest
 naturally because they are plain context managers; the export renders
 the nesting per thread.
 
@@ -13,14 +13,9 @@ Design constraints, in order:
    attribute check and returns a shared no-op context manager — no
    allocation, no clock read.  Tracing is off unless the user passes
    ``--trace`` (or calls :func:`enable` directly).
-2. **Works across process boundaries.**  Parallel shard workers run in
-   forked subprocesses.  Each worker gets its own fresh tracer; its
-   span buffer is drained and shipped back through the existing result
-   pipe, and the parent merges it.  Timestamps are stored *wall-clock
-   based* (``perf_counter`` plus a per-process wall offset sampled at
-   tracer creation), so merged spans need no further correction:
-   ``perf_counter`` is CLOCK_MONOTONIC on Linux, which is system-wide,
-   and the wall offset anchors every process to the same epoch.
+2. **Wall-clock timestamps.**  Spans store ``perf_counter`` plus a
+   wall offset sampled at tracer creation, so every span of a tracer
+   shares one epoch.
 3. **No dependencies.**  Export is Chrome trace-event JSON — the
    ``{"traceEvents": [...]}`` format — which Perfetto
    (https://ui.perfetto.dev) and ``chrome://tracing`` load directly.
@@ -32,12 +27,11 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, IO, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, IO, List, Optional, Set, Tuple, Union
 
-from repro.obs.runid import current_run_id, new_run_id, set_run_id
+from repro.obs.runid import current_run_id, new_run_id
 
-#: One recorded span, in the exact shape shipped across process
-#: boundaries: ``(name, start_wall, duration_s, pid, tid, args)``.
+#: One recorded span: ``(name, start_wall, duration_s, pid, tid, args)``.
 #: ``start_wall`` is seconds since the Unix epoch; ``args`` holds only
 #: JSON-friendly scalars.
 SpanRecord = Tuple[str, float, float, int, int, Dict[str, Any]]
@@ -91,14 +85,10 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans for one process; merges buffers from others."""
+    """Collects the spans recorded in this process."""
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        #: pid of the process that owns this tracer; in the exported
-        #: trace it is labelled ``main`` and every other pid
-        #: ``worker-<pid>``.
-        self.root_pid = os.getpid()
         #: Correction from ``perf_counter`` time to wall-clock time,
         #: sampled once so every span in this process shares it.
         self.wall_offset = time.time() - time.perf_counter()
@@ -123,17 +113,6 @@ class Tracer:
             (name, start_wall, duration, os.getpid(),
              threading.get_ident(), args or {})
         )
-
-    # -- cross-process plumbing ---------------------------------------
-
-    def drain(self) -> List[SpanRecord]:
-        """Detach and return the buffered spans (worker -> result pipe)."""
-        spans, self._spans = self._spans, []
-        return spans
-
-    def merge(self, records: Iterable[SpanRecord]) -> None:
-        """Absorb spans drained from another process's tracer."""
-        self._spans.extend(tuple(record) for record in records)
 
     # -- inspection / export ------------------------------------------
 
@@ -168,14 +147,13 @@ class Tracer:
                 }
             events.append(event)
         for pid in sorted(self.pids()):
-            label = "main" if pid == self.root_pid else f"worker-{pid}"
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": 0,
-                    "args": {"name": label},
+                    "args": {"name": "main"},
                 }
             )
         return {
@@ -209,11 +187,7 @@ _TRACER = Tracer(enabled=False)
 # every in-flight request's spans.  A request thread pushes its own
 # tracer here and every ``span()``/``get_tracer()``/``is_enabled()``
 # call on that thread uses it — including the solver internals, which
-# never know they are inside a request.  Worker subprocesses forked
-# from a request thread would inherit the slot, so
-# ``parallel.reset_obs`` clears it (the worker's spans travel through
-# the result pipe and are merged into the request tracer by the
-# requesting thread itself).
+# never know they are inside a request.
 _LOCAL = threading.local()
 
 
@@ -236,11 +210,6 @@ def pop_local_tracer() -> Optional[Tracer]:
     return tracer
 
 
-def clear_local_tracer() -> None:
-    """Drop any inherited override (forked-worker initialisation)."""
-    _LOCAL.tracer = None
-
-
 def get_tracer() -> Tracer:
     local = getattr(_LOCAL, "tracer", None)
     return local if local is not None else _TRACER
@@ -251,17 +220,13 @@ def is_enabled() -> bool:
     return local.enabled if local is not None else _TRACER.enabled
 
 
-def enable(run_id: Optional[str] = None) -> Tracer:
-    """Install a fresh, enabled tracer (discarding any prior buffer).
-
-    A run id is adopted if given, minted if none is active yet.  Used
-    by the CLI's ``--trace`` flag and by shard-worker initialisation
-    (where the parent's run id is passed in).
+def enable() -> Tracer:
+    """Install a fresh, enabled tracer (discarding any prior buffer),
+    minting a run id if none is active yet.  Used by the CLI's
+    ``--trace`` flag.
     """
     global _TRACER
-    if run_id is not None:
-        set_run_id(run_id)
-    elif current_run_id() is None:
+    if current_run_id() is None:
         new_run_id()
     _TRACER = Tracer(enabled=True)
     return _TRACER

@@ -45,11 +45,8 @@ Everything in the arena is immutable topology or construction-time
 labels; per-solve state (the mask vectors, the frozen set, phase-1
 call-return relabeling) stays with the solve.  The lowering is cached
 on the PSG instance (:func:`get_arena`), so repeated solves — the
-incremental engine's per-component runs, a worker's phase-1 then
-phase-2 pass over the same shard — lower once.  Forked shard workers
-inherit the parent's CFGs through the fork and build per-shard partial
-PSGs lazily; each worker's arena is likewise built once per shard and
-then shared by every solve the worker performs on it.
+incremental engine's phase-1 then phase-2 pass over the same
+component's partial PSG — lower once.
 """
 
 from __future__ import annotations

@@ -8,17 +8,13 @@ control-flow path exists between their locations that does not pass
 through another boundary, and each edge is labeled by running the
 Figure-6 equations over the CFG subgraph its paths cover.
 
-Three labeling strategies are provided (all produce bit-identical
+Two labeling strategies are provided (both produce bit-identical
 labels; the test suite asserts this):
 
 * ``per_edge_labeling=True`` — the paper's literal procedure: carve the
   subgraph ``forward(src) ∩ backward(dst)`` and solve it, once per
-  edge;
-* ``labeling="per-target"`` — solve once per *target* over
-  ``backward(dst)`` and read the converged IN sets at each source's
-  start blocks.  Because a backward solution at a block only depends on
-  blocks it reaches, the labels are identical; it is simply cheaper.
-* ``labeling="batched"`` (default) — build the boundary-cut region
+  edge (the ablation benchmarks and the equivalence tests use it);
+* batched (the default) — build the boundary-cut region
   structure once per routine (:class:`~repro.dataflow.equations.
   BatchedLabeler`), topologically order its SCCs, and solve each
   target's region in one successors-first sweep, falling back to a
@@ -59,7 +55,7 @@ _log = logging.getLogger(__name__)
 def _count_build(psg: ProgramSummaryGraph, partial: bool) -> None:
     """Record one PSG construction's sizes in the obs registry.
 
-    Partial builds (incremental cones, parallel shards) add into the
+    Partial builds (incremental and demand cones) add into the
     same size counters — the totals then read as "PSG construction work
     performed this run", which is the Table-5 quantity that matters.
     """
@@ -91,24 +87,15 @@ class PsgConfig:
     ``branch_nodes`` toggles §3.6 (the Table-4 ablation builds with it
     off); ``multiway_threshold`` is the minimum number of distinct
     successor blocks a multiway branch needs before it earns a branch
-    node; ``labeling`` picks the flow-summary labeling strategy
-    (``"batched"`` or ``"per-target"``; see the module docstring);
-    ``per_edge_labeling`` selects the paper-literal per-edge subgraph
-    solve and overrides ``labeling`` when set.
+    node; ``per_edge_labeling`` selects the paper-literal per-edge
+    subgraph solve instead of the batched labeler (see the module
+    docstring).
     """
 
     branch_nodes: bool = True
     multiway_threshold: int = 2
     per_edge_labeling: bool = False
-    labeling: str = "batched"
     convention: CallingConvention = field(default_factory=lambda: NT_ALPHA)
-
-    def __post_init__(self) -> None:
-        if self.labeling not in ("batched", "per-target"):
-            raise ValueError(
-                f"unknown labeling strategy {self.labeling!r} "
-                f"(expected 'batched' or 'per-target')"
-            )
 
 
 def unknown_call_label(convention: CallingConvention) -> SummaryTriple:
@@ -309,11 +296,10 @@ def build_routine_psg(
     # Edges
     # ------------------------------------------------------------------
     edge_indices: List[int] = []
-    use_batched = not config.per_edge_labeling and config.labeling == "batched"
     labeler: Optional[BatchedLabeler] = None
     backward_sets: List[Set[int]] = []
     reaches_some_target: Set[int] = set()
-    if use_batched:
+    if not config.per_edge_labeling:
         # The labeler's cut-predecessor DFS computes the same region as
         # backward_reachable (blocked blocks have no outgoing cut arcs),
         # reusing the structure built once per routine.
@@ -358,7 +344,7 @@ def build_routine_psg(
                 label = label_from_starts(solution, valid_starts)
                 edge_indices.append(len(flow_edges))
                 flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
-    elif use_batched:
+    else:
         assert labeler is not None
         for (dst_node, _target_block), bwd in zip(targets, backward_sets):
             solution = labeler.solve(bwd)
@@ -367,16 +353,6 @@ def build_routine_psg(
                 if not valid_starts:
                     continue
                 label = labeler.label(solution, valid_starts)
-                edge_indices.append(len(flow_edges))
-                flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
-    else:
-        for (dst_node, _target_block), bwd in zip(targets, backward_sets):
-            solution = solve_summary_subgraph(blocks, local_sets, bwd, blocked)
-            for src_node, starts in sources:
-                valid_starts = [s for s in starts if s in bwd]
-                if not valid_starts:
-                    continue
-                label = label_from_starts(solution, valid_starts)
                 edge_indices.append(len(flow_edges))
                 flow_edges.append(FlowEdge(src=src_node, dst=dst_node, label=label))
 

@@ -10,12 +10,6 @@ engine (:mod:`repro.interproc.incremental`): routines re-solved versus
 reused per phase, SCCs solved, worklist iterations, and per-stage wall
 time — the numbers ``spike-analyze analyze --incremental --stats``
 prints and the warm/cold benchmarks report.
-
-:class:`ParallelMetrics` instruments the sharded parallel solver
-(:mod:`repro.interproc.parallel`): per-shard stage timings as measured
-inside the worker processes, wall-clock time per scheduling wave, and
-the pool-utilization summary (busy seconds / (wall seconds x jobs))
-that says how close the run came to linear scaling.
 """
 
 from __future__ import annotations
@@ -250,139 +244,3 @@ class QueryMetrics(IncrementalMetrics):
             f"memo dropped:       {self.memo_dropped}",
         ]
         return "\n".join(lines) + "\n" + super().render()
-
-
-@dataclass
-class ShardMetrics:
-    """What one shard's two solves did, measured inside the worker."""
-
-    shard: int
-    routines: int
-    cost: int
-    #: stage name -> seconds spent on this shard ("initialization",
-    #: "psg_build", "phase1", "phase2", "assemble"); a stage is absent
-    #: when the shard skipped it (e.g. a clean shard on a warm run).
-    seconds: Dict[str, float] = field(default_factory=dict)
-    phase1_iterations: int = 0
-    phase2_iterations: int = 0
-
-    @property
-    def busy_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def merge_stage(self, name: str, seconds: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-
-
-@dataclass
-class ParallelMetrics:
-    """One sharded parallel run: shard timings + utilization summary.
-
-    ``wall_seconds`` holds the parent-side wall clock per stage
-    ("cfg_build", "partition", "phase1", "phase2"); the phase entries
-    cover a whole scheduling wave, pool latency included.  Worker-side
-    busy time lives in the per-shard records, so
-    ``busy / (wall * jobs)`` is the pool utilization — 1.0 means every
-    worker was solving for the whole wave, i.e. perfect scaling.
-    """
-
-    jobs: int = 1
-    shard_count: int = 0
-    routines_total: int = 0
-    shards: List[ShardMetrics] = field(default_factory=list)
-    wall_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Shards whose cached answers were kept (warm runs only).
-    shards_reused: int = 0
-    #: Worker-side busy seconds of the parallel front end, per
-    #: sub-stage ("cfg_build", "initialization"); empty when the front
-    #: end ran serially (jobs == 1, or a warm run).  The corresponding
-    #: parent wall clock is ``wall_seconds["frontend"]``.
-    frontend_seconds: Dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a parent-side ``with`` block under ``name``."""
-        start = time.perf_counter()
-        try:
-            with _obs_span(name, kind="stage", parallel=True):
-                yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.wall_seconds[name] = (
-                self.wall_seconds.get(name, 0.0) + elapsed
-            )
-
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(self.wall_seconds.values())
-
-    @property
-    def busy_seconds(self) -> float:
-        return sum(shard.busy_seconds for shard in self.shards)
-
-    def solve_wall_seconds(self) -> float:
-        """Wall time of the two scheduled waves (the parallel region)."""
-        return self.wall_seconds.get("phase1", 0.0) + self.wall_seconds.get(
-            "phase2", 0.0
-        )
-
-    def utilization(self) -> float:
-        """Busy fraction of the pool across the two solve waves."""
-        wall = self.solve_wall_seconds()
-        if wall <= 0 or self.jobs <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (wall * self.jobs))
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the ``--json`` stats payload)."""
-        return {
-            "jobs": self.jobs,
-            "shard_count": self.shard_count,
-            "shards_reused": self.shards_reused,
-            "routines_total": self.routines_total,
-            "wall_seconds": dict(self.wall_seconds),
-            "frontend_seconds": dict(self.frontend_seconds),
-            "total_wall_seconds": self.total_wall_seconds,
-            "busy_seconds": self.busy_seconds,
-            "utilization": self.utilization(),
-            "shards": [
-                {
-                    "shard": shard.shard,
-                    "routines": shard.routines,
-                    "cost": shard.cost,
-                    "seconds": dict(shard.seconds),
-                    "phase1_iterations": shard.phase1_iterations,
-                    "phase2_iterations": shard.phase2_iterations,
-                }
-                for shard in self.shards
-            ],
-        }
-
-    def render(self) -> str:
-        """The human-readable utilization summary."""
-        lines = [
-            f"jobs:               {self.jobs}",
-            f"shards:             {self.shard_count}"
-            + (
-                f"  (reused {self.shards_reused})"
-                if self.shards_reused
-                else ""
-            ),
-            f"wall time:          {self.total_wall_seconds:.3f} s",
-            f"worker busy time:   {self.busy_seconds:.3f} s",
-            f"pool utilization:   {self.utilization():.1%}",
-        ]
-        for name in ("frontend", "cfg_build", "partition", "phase1", "phase2"):
-            if name in self.wall_seconds:
-                lines.append(
-                    f"  {name:<16}{self.wall_seconds[name]:.3f} s"
-                )
-        busiest = sorted(
-            self.shards, key=lambda shard: -shard.busy_seconds
-        )[:5]
-        for shard in busiest:
-            lines.append(
-                f"  shard {shard.shard:<4} {shard.routines:>5} routines  "
-                f"cost {shard.cost:<8} busy {shard.busy_seconds:.3f} s"
-            )
-        return "\n".join(lines)

@@ -34,11 +34,12 @@ to disk.
 ``POST`` bodies are either raw image bytes
 (``Content-Type: application/octet-stream``, options in the query
 string) or JSON (``{"image_b64": ..., ...options}``).  Options:
-``jobs`` (worker count), ``include_summaries`` (embed rendered
-summaries), ``edit`` (``{"routine": name}`` — analyze the image with
-one instruction of ``routine`` perturbed, warm-starting from the base
-image's SUM2 cache; the routine defaults to the first editable one),
-and for ``/v1/query`` the mandatory ``routine``.
+``include_summaries`` (embed rendered summaries), ``edit``
+(``{"routine": name}`` — analyze the image with one instruction of
+``routine`` perturbed, warm-starting from the base image's SUM2 cache;
+the routine defaults to the first editable one), and for ``/v1/query``
+the mandatory ``routine``.  Unknown keys are ignored.  Response bodies
+are compact JSON (sorted keys, no whitespace).
 
 Multi-tenancy: the ``X-Repro-Tenant`` header namespaces all retained
 state (see :mod:`repro.service.registry`).  Responses carry
@@ -122,8 +123,6 @@ class ServiceConfig:
     #: Registry byte budget for retained sessions (LRU beyond it).
     max_bytes: int = DEFAULT_MAX_BYTES
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES
-    #: Default worker count for solves (per-request ``jobs`` overrides).
-    jobs: Optional[int] = None
     #: When set, 1-in-``trace_sample`` requests export their Perfetto
     #: span JSON to ``<trace_dir>/<run_id>.json``.
     trace_dir: Optional[str] = None
@@ -164,15 +163,11 @@ class AnalysisDaemon:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         analysis_config = None
-        if self.config.jobs is not None or self.config.store_dir is not None:
-            store = None
-            if self.config.store_dir is not None:
-                from repro.interproc.store import SummaryStore
+        if self.config.store_dir is not None:
+            from repro.interproc.store import SummaryStore
 
-                store = SummaryStore(self.config.store_dir)
             analysis_config = AnalysisConfig(
-                jobs=self.config.jobs if self.config.jobs is not None else 1,
-                store=store,
+                store=SummaryStore(self.config.store_dir)
             )
         self.registry = SessionRegistry(
             max_bytes=self.config.max_bytes,
@@ -311,12 +306,11 @@ class AnalysisDaemon:
     ) -> Tuple[Dict[str, object], bool]:
         """``POST /v1/analyze`` → (payload, served-warm)."""
         image_bytes = _image_bytes(body)
-        jobs = _jobs_option(body)
         entry = self.registry.acquire(tenant, image_bytes)
         edit = body.get("edit")
         with _entry_locked(self.registry, entry, "analyze"):
             if edit is not None:
-                return self._analyze_edit(entry, edit, jobs)
+                return self._analyze_edit(entry, edit)
             if entry.payload is not None:
                 REGISTRY.inc("service.result.warm")
                 return entry.payload, True
@@ -326,10 +320,10 @@ class AnalysisDaemon:
                     # the incremental engine so they *consult* the
                     # store (a plain analyze only publishes); the
                     # refreshed cache also seeds future edit requests.
-                    cold = entry.session.analyze_incremental(jobs=jobs)
+                    cold = entry.session.analyze_incremental()
                     self.registry.note_cache(entry, cold.cache)
                 else:
-                    entry.session.analyze(jobs=jobs)
+                    entry.session.analyze()
                 # Retained with summaries embedded; the handler strips
                 # them unless the request asked for them.
                 entry.payload = entry.session.to_json(include_summaries=True)
@@ -337,7 +331,7 @@ class AnalysisDaemon:
             return entry.payload, False
 
     def _analyze_edit(
-        self, entry: SessionEntry, edit: Any, jobs: Optional[int]
+        self, entry: SessionEntry, edit: Any
     ) -> Tuple[Dict[str, object], bool]:
         """Analyze the entry's image with one routine perturbed,
         warm-starting from the base image's SUM2 cache."""
@@ -347,7 +341,7 @@ class AnalysisDaemon:
         if not warm:
             # One-time: build the base cache a future edit warms from.
             with _staged("edit.seed", "service.edit.seed"):
-                cold = entry.session.analyze_incremental(jobs=jobs)
+                cold = entry.session.analyze_incremental()
                 self.registry.note_cache(entry, cold.cache)
         program = entry.session.program
         routine = edit.get("routine")
@@ -361,7 +355,7 @@ class AnalysisDaemon:
             session = AnalysisSession.from_program(
                 mutated, self.registry.config
             )
-            session.analyze_incremental(cache=entry.cache, jobs=jobs)
+            session.analyze_incremental(cache=entry.cache)
             payload = session.to_json(include_summaries=True)
         REGISTRY.inc("service.result.warm" if warm else "service.result.cold")
         return payload, warm
@@ -462,16 +456,6 @@ def _image_bytes(body: Dict[str, Any]) -> bytes:
         raise RequestError(400, f"invalid image_b64: {error}") from error
 
 
-def _jobs_option(body: Dict[str, Any]) -> Optional[int]:
-    jobs = body.get("jobs")
-    if jobs is None:
-        return None
-    try:
-        return int(jobs)
-    except (TypeError, ValueError) as error:
-        raise RequestError(400, f"invalid jobs value: {jobs!r}") from error
-
-
 def _bool_option(body: Dict[str, Any], key: str) -> bool:
     value = body.get(key, False)
     if isinstance(value, bool):
@@ -503,7 +487,12 @@ class _Handler(BaseHTTPRequestHandler):
         payload: Dict[str, object],
         headers: Optional[Dict[str, str]] = None,
     ) -> int:
-        blob = json.dumps(payload, indent=2, sort_keys=True).encode()
+        # Compact separators keep json.dumps on its C encoder; an
+        # ``indent`` falls back to the pure-Python one, whose nested
+        # closures leave reference cycles behind on every response.
+        blob = json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
@@ -552,8 +541,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             if "routine" in query:
                 body["routine"] = query["routine"]
-            if "jobs" in query:
-                body["jobs"] = query["jobs"]
             if "include_summaries" in query:
                 body["include_summaries"] = query["include_summaries"]
             if "edit" in query:
@@ -621,8 +608,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         sampled = self.daemon._trace_sampled(sequence)
         # A request-local tracer (thread-local override) captures this
-        # request's spans — including merged worker spans — without
-        # interleaving concurrent requests.
+        # request's spans without interleaving concurrent requests.
         tracer = push_local_tracer() if (want_trace or sampled) else None
         status = 500
         warm_label = "error"

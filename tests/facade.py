@@ -5,13 +5,6 @@ The deprecated free functions (``analyze_program``, ``analyze_image``,
 facade is the only supported entry point.  Most tests just want "give
 me the analysis for this program" without spelling out session
 construction, so these wrappers keep call sites one line.
-
-``jobs=1`` is pinned explicitly everywhere: an explicit jobs argument
-beats the ``REPRO_JOBS`` environment variable, so the CI parallel
-variant (``REPRO_JOBS=2``) cannot silently flip these helpers to the
-sharded engine — many callers reach into serial-only attributes like
-``.psg`` and ``.phase1``.  Tests that want the parallel engine ask for
-it explicitly.
 """
 
 from typing import Optional, Sequence
@@ -27,28 +20,25 @@ from repro.program.model import Program
 def analyze_program(
     program: Program, config: Optional[AnalysisConfig] = None
 ) -> InterproceduralAnalysis:
-    """Serial analysis of an in-memory program via the facade."""
-    session = AnalysisSession.from_program(program, config)
-    return session.analyze(jobs=1)
+    """Whole-program analysis of an in-memory program via the facade."""
+    return AnalysisSession.from_program(program, config).analyze()
 
 
 def analyze_image(
     image: ExecutableImage, config: Optional[AnalysisConfig] = None
 ) -> InterproceduralAnalysis:
-    """Serial analysis of an executable image via the facade."""
-    session = AnalysisSession.from_image(image, config)
-    return session.analyze(jobs=1)
+    """Whole-program analysis of an executable image via the facade."""
+    return AnalysisSession.from_image(image, config).analyze()
 
 
 def analyze_incremental(
     program: Program,
     cache: Optional[SummaryCache] = None,
     config: Optional[AnalysisConfig] = None,
-    jobs: int = 1,
 ) -> IncrementalAnalysis:
     """Incremental analysis via the facade (cold when ``cache=None``)."""
     session = AnalysisSession.from_program(program, config)
-    return session.analyze_incremental(cache=cache, jobs=jobs)
+    return session.analyze_incremental(cache=cache)
 
 
 def optimize_program(

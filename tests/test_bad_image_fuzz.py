@@ -53,7 +53,7 @@ def _outcome(blob):
     except ImageFormatError:
         return "decode"
     try:
-        session.analyze(jobs=1)
+        session.analyze()
     except ImageFormatError as error:
         assert "malformed code" in str(error)
         return "code"

@@ -2,8 +2,7 @@
 
 The flat core (:mod:`repro.interproc.flatcore`) must be a pure data
 -layout/scheduling change: byte-identical summaries and identical
-solver counters versus the object engines, cold and warm, serial and
-sharded.  These tests pin that contract on generated Table-2 shapes.
+solver counters versus the object engines, cold and warm.  These tests pin that contract on generated Table-2 shapes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.obs.metrics import REGISTRY
 from repro.workloads.generator import GeneratorConfig, generate_benchmark
 from repro.workloads.mutate import first_editable_routine, perturb_routine
 
-CORES = ("flat", "object", "fifo")
+CORES = ("flat", "object")
 
 #: Table-2 rows small enough for the test tier, cached per session.
 SHAPES = ("compress", "li", "perl", "vortex")
@@ -37,13 +36,9 @@ def shape_program(name):
     return _programs[name]
 
 
-def analyze_with(program, core, jobs=1):
-    config = AnalysisConfig(solver_core=core, jobs=jobs)
-    # jobs passed explicitly: these tests compare per-core solver
-    # counters, which REPRO_JOBS-induced sharding would redistribute.
-    return AnalysisSession.from_program(program, config=config).analyze(
-        jobs=jobs
-    )
+def analyze_with(program, core):
+    config = AnalysisConfig(solver_core=core)
+    return AnalysisSession.from_program(program, config=config).analyze()
 
 
 class TestCoreSelection:
@@ -57,7 +52,7 @@ class TestCoreSelection:
 
     def test_explicit_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_CORE", "flat")
-        assert resolve_solver_core("fifo") == "fifo"
+        assert resolve_solver_core("object") == "object"
 
     def test_unknown_core_rejected(self):
         with pytest.raises(AnalysisError):
@@ -73,7 +68,6 @@ class TestColdEquivalence:
             for core in CORES
         }
         assert blobs["flat"] == blobs["object"]
-        assert blobs["flat"] == blobs["fifo"]
 
     def test_counters_identical_flat_vs_object(self):
         """The sweep+pocket scheduler pops in exactly the global-heap
@@ -93,27 +87,6 @@ class TestColdEquivalence:
         assert snapshots["flat"] == snapshots["object"]
         assert snapshots["flat"]["solver.iterations{phase=phase1}"] > 0
 
-    def test_priority_iterates_less_than_fifo(self):
-        """The acceptance criterion for the priority worklist: strictly
-        fewer total visits than FIFO on a real shape.  The win needs a
-        call graph deep enough for ordering to matter — at the tiny
-        tier-1 scales the two schedules nearly tie, so this test runs
-        perl at a deeper scale than the byte-equality matrix."""
-        program, _shape = generate_benchmark(
-            "perl", scale=0.1, config=GeneratorConfig(seed=0)
-        )
-        totals = {}
-        for core in ("flat", "fifo"):
-            before = REGISTRY.snapshot()
-            analyze_with(program, core)
-            delta = REGISTRY.delta_since(before)
-            totals[core] = (
-                delta["solver.iterations{phase=phase1}"]
-                + delta["solver.iterations{phase=phase2}"]
-            )
-        assert totals["flat"] < totals["fifo"]
-
-
 class TestWarmEquivalence:
     @pytest.mark.parametrize("name", ("compress", "li"))
     def test_mutated_warm_runs_agree_across_cores(self, name):
@@ -132,12 +105,3 @@ class TestWarmEquivalence:
             )
             assert warm.metrics.dirty_routines == [victim]
             assert dump_summaries(warm.result) == reference, core
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_flat_matches_object_at_every_job_count(self, jobs):
-        program = shape_program("perl")
-        flat = analyze_with(program, "flat", jobs=jobs)
-        obj = analyze_with(program, "object", jobs=jobs)
-        assert dump_summaries(flat.result) == dump_summaries(obj.result)

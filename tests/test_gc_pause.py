@@ -7,8 +7,11 @@ garbage behind: anything a paused collector would have freed mid-run
 accumulates until the next collection between runs.  The first class
 holds every run kind to zero cyclic garbage on the Table-2 shapes, so a
 change that introduces a reference cycle fails here and names the run
-kind.  The rest pin the pause's bookkeeping: exceptions, nesting,
-overlapping threads and a caller that disabled the collector itself.
+kind.  The daemon's request handling is held to the same standard,
+since the collector pause only helps a server whose requests leave
+nothing for the collector to find.  The rest pin the pause's
+bookkeeping: exceptions, nesting, overlapping threads and a caller that
+disabled the collector itself.
 """
 
 import gc
@@ -22,6 +25,8 @@ from repro.interproc.analysis import InterproceduralAnalysis
 from repro.interproc.store import SummaryStore
 from repro.program.image import ImageFormatError
 from repro.program.rewrite import program_to_image
+from repro.service.client import ServiceClient
+from repro.service.daemon import AnalysisDaemon, ServiceConfig
 from repro.workloads.generator import GeneratorConfig, generate_benchmark
 from repro.workloads.mutate import first_editable_routine, perturb_routine
 
@@ -52,7 +57,7 @@ def _session(program, store_dir=None):
 
 
 def _cold_cache(program):
-    return _session(program).analyze_incremental(jobs=1).cache
+    return _session(program).analyze_incremental().cache
 
 
 def _prepare(kind, program, blob, store_dir):
@@ -62,20 +67,20 @@ def _prepare(kind, program, blob, store_dir):
     if kind == "decode":
         return lambda: AnalysisSession.from_image_bytes(blob)
     if kind == "cold analyze":
-        return lambda: _session(program).analyze(jobs=1)
+        return lambda: _session(program).analyze()
     if kind == "to_json":
         session = _session(program)
-        session.analyze(jobs=1)
+        session.analyze()
         return lambda: session.to_json(include_summaries=True)
     if kind == "cold incremental":
-        return lambda: _session(program).analyze_incremental(jobs=1)
+        return lambda: _session(program).analyze_incremental()
     if kind == "warm incremental":
         cache = _cold_cache(program)
-        return lambda: _session(program).analyze_incremental(cache, jobs=1)
+        return lambda: _session(program).analyze_incremental(cache)
     if kind == "edit":
         cache = _cold_cache(program)
         edited = perturb_routine(program, first_editable_routine(program))
-        return lambda: _session(edited).analyze_incremental(cache, jobs=1)
+        return lambda: _session(edited).analyze_incremental(cache)
     if kind == "cold query":
         return lambda: _session(program).query(routine)
     if kind == "warm query":
@@ -83,19 +88,17 @@ def _prepare(kind, program, blob, store_dir):
         session.query(routine)
         return lambda: session.query(routine)
     if kind == "store miss":
-        return lambda: _session(program, store_dir).analyze_incremental(jobs=1)
+        return lambda: _session(program, store_dir).analyze_incremental()
     if kind == "store hit":
-        _session(program, store_dir).analyze_incremental(jobs=1)
-        return lambda: _session(program, store_dir).analyze_incremental(jobs=1)
-    if kind == "jobs=2":
-        return lambda: _session(program).analyze(jobs=2)
+        _session(program, store_dir).analyze_incremental()
+        return lambda: _session(program, store_dir).analyze_incremental()
     raise AssertionError(kind)
 
 
 RUN_KINDS = [
     "decode", "cold analyze", "to_json", "cold incremental",
     "warm incremental", "edit", "cold query", "warm query",
-    "store miss", "store hit", "jobs=2",
+    "store miss", "store hit",
 ]
 
 
@@ -115,6 +118,40 @@ class TestNoCyclicGarbage:
         assert garbage == 0, (
             f"a {kind} run left {garbage} objects of cyclic garbage; the "
             "facade's collector pause would accumulate them"
+        )
+
+
+class TestDaemonResponses:
+    def test_requests_leave_no_cyclic_garbage(self):
+        """Served analyze, query and edit round trips, cold and warm,
+        leave nothing for the collector (the response encoder
+        included)."""
+        program, _shape = generate_benchmark(
+            "compress", scale=0.04, config=GeneratorConfig(seed=0)
+        )
+        blob = program_to_image(program).to_bytes()
+        routine = program.routines[-1].name
+        daemon = AnalysisDaemon(ServiceConfig(port=0))
+        thread = threading.Thread(target=daemon.serve_forever)
+        thread.start()
+        try:
+            host, port = daemon.server.server_address[:2]
+            client = ServiceClient.tcp(host, port)
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    assert client.analyze(blob).status == 200
+                    assert client.query(blob, routine=routine).status == 200
+                    assert client.analyze(blob, edit={}).status == 200
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+        finally:
+            daemon.drain()
+            thread.join(timeout=30)
+        assert garbage == 0, (
+            f"9 daemon requests left {garbage} objects of cyclic garbage"
         )
 
 
@@ -144,7 +181,7 @@ class TestPauseBookkeeping:
         during = []
         _observe_collector(monkeypatch, during)
         gc.enable()
-        quick_session.analyze(jobs=1)
+        quick_session.analyze()
         assert during == [False]
         assert gc.isenabled()
 
@@ -162,7 +199,6 @@ class TestPauseBookkeeping:
     ):
         # to_json() with nothing analyzed runs analyze() inside itself;
         # the render after the inner run returns is still paused.
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         during = []
         _observe_collector(monkeypatch, during)
         render = InterproceduralAnalysis.to_json
@@ -188,7 +224,7 @@ class TestPauseBookkeeping:
         )
         gc.enable()
         slow = AnalysisSession.from_program(quick_program)
-        worker = threading.Thread(target=slow.analyze, kwargs={"jobs": 1})
+        worker = threading.Thread(target=slow.analyze)
         worker.start()
         try:
             assert entered.wait(30)
@@ -205,7 +241,7 @@ class TestPauseBookkeeping:
 
     def test_caller_disabled_collector_stays_disabled(self, quick_session):
         gc.disable()
-        quick_session.analyze(jobs=1)
+        quick_session.analyze()
         quick_session.query("helper")
         quick_session.to_json()
         assert not gc.isenabled()

@@ -1,7 +1,7 @@
 """Tests for ``repro.obs.hist`` and the Prometheus exposition.
 
-Covers the histogram bucket algebra (observe/merge/subtract and the
-delta identity the cross-process drain relies on), the registry's
+Covers the histogram bucket algebra (observe/subtract/copy), the
+registry's
 histogram plumbing (``observe_hist`` / ``snapshot`` / ``delta_since`` /
 ``histograms_dict``), and the text exposition's correctness properties
 (label escaping, cumulative ``le``-ordered buckets ending ``+Inf``,
@@ -79,19 +79,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
-    def test_merge_adds_buckets(self):
-        left = Histogram(boundaries=(1.0, 2.0))
-        right = Histogram(boundaries=(1.0, 2.0))
-        left.observe(0.5)
-        right.observe(1.5)
-        right.observe(9.0)
-        left.merge(right)
-        assert left.counts == [1, 1, 1]
-        assert left.count == 3
-        assert left.sum == pytest.approx(11.0)
-        with pytest.raises(ValueError):
-            left.merge(Histogram(boundaries=(1.0, 3.0)))
-
     def test_subtract_is_bucket_wise_and_guards_monotonicity(self):
         hist = Histogram(boundaries=(1.0, 2.0))
         hist.observe(0.5)
@@ -113,17 +100,6 @@ class TestHistogram:
         hist.observe(0.5)
         assert clone.count == 1
         assert hist.count == 2
-
-    def test_payload_roundtrip_recomputes_count(self):
-        hist = Histogram(boundaries=(1.0, 2.0))
-        for value in (0.5, 1.5, 1.5, 9.0):
-            hist.observe(value)
-        loaded = Histogram.from_payload(hist.to_payload())
-        assert loaded.counts == hist.counts
-        assert loaded.count == hist.count
-        assert loaded.sum == pytest.approx(hist.sum)
-        with pytest.raises(ValueError):
-            Histogram.from_payload(((1.0, 2.0), (1, 2), 3.0))  # short
 
     def test_cumulative_ends_in_inf(self):
         hist = Histogram(boundaries=(1.0, 2.0))
@@ -196,54 +172,6 @@ class TestRegistryHistograms:
         payload = registry.histograms_dict()["svc.seconds{ep=x}"]
         assert payload["count"] == 1
         assert payload["buckets"] == {"1.0": 1, "2.0": 1, "+Inf": 1}
-
-    def test_reset_drops_histograms(self):
-        registry = MetricsRegistry()
-        registry.observe_hist("svc.seconds", 0.01)
-        registry.reset()
-        assert registry.histograms_dict() == {}
-
-
-class TestWorkerMerge:
-    def test_collect_ships_and_merge_bucket_adds(self):
-        worker = MetricsRegistry()
-        worker.observe_hist("svc.seconds", 0.01, endpoint="a")
-        worker.observe_hist("svc.seconds", 0.02, endpoint="a")
-        parent = MetricsRegistry()
-        parent.observe_hist("svc.seconds", 5.0, endpoint="a")
-        parent.merge(worker.collect(clear=True))
-        merged = parent.histogram("svc.seconds", endpoint="a")
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(5.03)
-        assert worker.histograms_dict() == {}  # clear=True detached it
-
-    def test_merged_delta_equals_sum_of_per_worker_deltas(self):
-        """The satellite regression: the delta of a worker-merged
-        histogram equals the bucket-wise sum of the per-worker deltas,
-        so per-run distributions stay honest across the fork drain."""
-        parent = MetricsRegistry()
-        parent.observe_hist("svc.seconds", 0.01)  # pre-run history
-        snap = parent.snapshot()
-
-        workers = [MetricsRegistry() for _ in range(3)]
-        worker_deltas = []
-        for index, worker in enumerate(workers):
-            worker_snap = worker.snapshot()
-            for step in range(index + 1):
-                worker.observe_hist("svc.seconds", 0.01 * (step + 1))
-            worker_deltas.append(
-                worker.delta_since(worker_snap)["svc.seconds"]
-            )
-            parent.merge(worker.collect(clear=True))
-
-        merged_delta = parent.delta_since(snap)["svc.seconds"]
-        assert merged_delta["count"] == sum(
-            d["count"] for d in worker_deltas
-        )
-        assert merged_delta["sum"] == pytest.approx(
-            sum(d["sum"] for d in worker_deltas)
-        )
-
 
 class TestPrometheusExposition:
     def _registry(self):
@@ -328,5 +256,5 @@ class TestNonServiceOverhead:
         session = AnalysisSession.from_image_bytes(
             assemble(SOURCE).to_bytes()
         )
-        session.analyze(jobs=1)
+        session.analyze()
         assert set(REGISTRY.histograms_dict()) == before

@@ -3,7 +3,9 @@
 Hypothesis drives the synthetic generator with arbitrary seeds and
 shapes, then checks global invariants:
 
-* **engine agreement** — PSG summaries equal the full-CFG baseline's;
+* **engine agreement** — PSG summaries equal the full-CFG baseline's,
+  on every solve path: cold, warm after an edit, adopted from a
+  summary store, and answered on demand;
 * **dynamic soundness** — for every dynamic call observed by the
   tracing interpreter, the registers actually read before being
   written are covered by call-used (modulo the §3.4-filtered
@@ -15,11 +17,17 @@ shapes, then checks global invariants:
   arbitrary optimization.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import tempfile
 
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from repro.api import AnalysisConfig, AnalysisSession
 from repro.dataflow.regset import RegisterSet, mask_of
-from tests.facade import analyze_program
+from tests.facade import analyze_incremental, analyze_program
 from repro.interproc.baseline import analyze_program_baseline
+from repro.interproc.store import SummaryStore
+from repro.interproc.summaries import SummarySet
+from repro.workloads.mutate import editable_routines, perturb_routine
 from tests.facade import optimize_program
 from repro.program.disasm import disassemble_image
 from repro.program.rewrite import program_to_image
@@ -51,6 +59,46 @@ def test_property_engines_agree(bench, seed):
     baseline = analyze_program_baseline(program)
     assert psg.result.equal_summaries(baseline.result), (
         baseline.result.diff(psg.result)[:5]
+    )
+
+
+def _assert_agrees(answer: SummarySet, oracle: SummarySet, path: str):
+    assert answer.equal_summaries(oracle), (
+        path, oracle.diff(answer)[:5]
+    )
+
+
+@_SLOW
+@given(bench=_BENCHES, seed=_SEEDS, data=st.data())
+def test_property_every_path_agrees_with_baseline(bench, seed, data):
+    """Warm-after-edit, store-hit and demand answers all equal the
+    whole-CFG baseline of the program they answer for."""
+    program = _generate(bench, seed)
+    editable = editable_routines(program)
+    assume(editable)
+    edited = perturb_routine(program, data.draw(st.sampled_from(editable)))
+    oracle = analyze_program_baseline(edited).result
+
+    cold = analyze_incremental(program)
+    warm = analyze_incremental(edited, cache=cold.cache)
+    assert not warm.metrics.cold
+    _assert_agrees(warm.result, oracle, "warm after edit")
+
+    with tempfile.TemporaryDirectory() as root:
+        config = AnalysisConfig(store=SummaryStore(root))
+        analyze_incremental(program, config=config)
+        second = analyze_incremental(edited, config=config)
+        adopted = analyze_incremental(edited, config=config)
+    _assert_agrees(second.result, oracle, "second variant against the store")
+    assert adopted.metrics.phase1_solved == adopted.metrics.phase2_solved == 0
+    _assert_agrees(adopted.result, oracle, "store hit")
+
+    name = data.draw(st.sampled_from(edited.routine_names()))
+    query = AnalysisSession.from_program(edited).query(name, cache=cold.cache)
+    _assert_agrees(
+        SummarySet(summaries={name: query.summary}),
+        SummarySet(summaries={name: oracle.summaries[name]}),
+        f"query {name}",
     )
 
 

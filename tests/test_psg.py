@@ -141,37 +141,27 @@ def _flow_labels(psg):
     return {(e.src, e.dst): e.label for e in psg.flow_edges}
 
 
-def _assert_three_way_equal(program, config_extra=None):
-    """Batched, per-target and per-edge labeling all agree, edge for
-    edge, on ``program``."""
+def _assert_labelings_equal(program, config_extra=None):
+    """Batched and per-edge labeling agree, edge for edge, on
+    ``program``."""
     extra = config_extra or {}
-    batched = build(program, PsgConfig(labeling="batched", **extra))
-    per_target = build(program, PsgConfig(labeling="per-target", **extra))
+    batched = build(program, PsgConfig(**extra))
     per_edge = build(program, PsgConfig(per_edge_labeling=True, **extra))
-    assert batched.node_count == per_target.node_count == per_edge.node_count
-    batched_labels = _flow_labels(batched)
-    assert batched_labels == _flow_labels(per_target)
-    assert batched_labels == _flow_labels(per_edge)
+    assert batched.node_count == per_edge.node_count
+    assert _flow_labels(batched) == _flow_labels(per_edge)
 
 
 class TestLabelingModes:
-    def test_per_edge_equals_per_target(self, small_benchmark):
-        """The paper-literal per-edge solve and the per-target solve must
+    def test_per_edge_equals_batched(self, small_benchmark):
+        """The paper-literal per-edge solve and the batched labeler must
         produce identical edge labels."""
         fast = build(small_benchmark, PsgConfig(per_edge_labeling=False))
         slow = build(small_benchmark, PsgConfig(per_edge_labeling=True))
         assert fast.node_count == slow.node_count
         assert _flow_labels(fast) == _flow_labels(slow)
 
-    def test_batched_is_the_default(self, small_benchmark):
-        assert PsgConfig().labeling == "batched"
-        assert _flow_labels(build(small_benchmark)) == _flow_labels(
-            build(small_benchmark, PsgConfig(labeling="per-target"))
-        )
-
-    def test_bad_labeling_rejected(self):
-        with pytest.raises(ValueError, match="labeling"):
-            PsgConfig(labeling="bogus")
+    def test_batched_is_the_default(self):
+        assert PsgConfig().per_edge_labeling is False
 
     #: Loops around call sites, a jump-table multiway branch, and an
     #: unknown-target indirect call — every structural feature the
@@ -214,10 +204,10 @@ class TestLabelingModes:
     def test_three_way_equivalence_gnarly_routine(self):
         program = disassemble_image(assemble(self.GNARLY_SOURCE))
         for extra in ({}, {"branch_nodes": False}):
-            _assert_three_way_equal(program, extra)
+            _assert_labelings_equal(program, extra)
 
     def test_three_way_equivalence_small_benchmark(self, small_benchmark):
-        _assert_three_way_equal(small_benchmark)
+        _assert_labelings_equal(small_benchmark)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -228,7 +218,7 @@ class TestLabelingModes:
         program, _shape = generate_benchmark(
             bench, scale=0.05, config=GeneratorConfig(seed=seed)
         )
-        _assert_three_way_equal(program)
+        _assert_labelings_equal(program)
 
 
 class TestDivergenceDetection:

@@ -1,6 +1,6 @@
 """Contract tests for the schema-1 result payload.
 
-Every analysis outcome — serial, parallel, incremental, demand query —
+Every analysis outcome — whole-program, incremental, demand query —
 renders through :func:`repro.interproc.results.build_payload`, and the
 CLI ``--json`` output and the service daemon responses are that same
 object.  These tests pin the external shape: common keys, kind keys,
@@ -61,21 +61,14 @@ def _check_common(payload, kind):
 class TestShapePerKind:
     def test_serial(self, image):
         session = _session(image)
-        session.analyze(jobs=1)
+        session.analyze()
         payload = session.to_json()
         _check_common(payload, "serial")
         assert payload["routines"] == 3
 
-    def test_parallel(self, image):
-        session = _session(image)
-        session.analyze(jobs=2)
-        payload = session.to_json()
-        _check_common(payload, "parallel")
-        assert payload["jobs"] == 2
-
     def test_incremental(self, image):
         session = _session(image)
-        session.analyze_incremental(jobs=1)
+        session.analyze_incremental()
         payload = session.to_json()
         _check_common(payload, "incremental")
         assert payload["mode"] == "cold"
@@ -88,9 +81,8 @@ class TestShapePerKind:
         assert payload["routine"] == "inc"
         assert payload["summary"]["routine"] == "inc"
 
-    def test_lazy_to_json_runs_analysis(self, image, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        session = _session(image, config=AnalysisConfig(jobs=1))
+    def test_lazy_to_json_runs_analysis(self, image):
+        session = _session(image, config=AnalysisConfig())
         payload = session.to_json()
         _check_common(payload, "serial")
 
@@ -98,7 +90,7 @@ class TestShapePerKind:
 class TestRoundTrip:
     def test_json_round_trip_is_lossless(self, image):
         session = _session(image)
-        session.analyze(jobs=1)
+        session.analyze()
         payload = session.to_json(include_summaries=True)
         wire = json.dumps(payload, indent=2, sort_keys=True)
         back = json.loads(wire)
@@ -108,25 +100,25 @@ class TestRoundTrip:
 
     def test_digest_agrees_across_engines(self, image):
         serial = _session(image)
-        serial.analyze(jobs=1)
-        parallel = _session(image)
-        parallel.analyze(jobs=2)
+        serial.analyze()
+        incremental = _session(image)
+        incremental.analyze_incremental()
         assert (
             serial.to_json()["summaries_crc64"]
-            == parallel.to_json()["summaries_crc64"]
+            == incremental.to_json()["summaries_crc64"]
         )
 
     def test_digest_matches_summaries(self, image):
         session = _session(image)
-        analysis = session.analyze(jobs=1)
+        analysis = session.analyze()
         payload = session.to_json()
         assert payload["summaries_crc64"] == summaries_digest(analysis.result)
 
     def test_volatile_keys_do_not_leak_into_digest(self, image):
         first = _session(image)
-        first.analyze(jobs=1)
+        first.analyze()
         second = _session(image)
-        second.analyze(jobs=1)
+        second.analyze()
         a, b = first.to_json(), second.to_json()
         assert a["summaries_crc64"] == b["summaries_crc64"]
         # Timings differ run to run; the digest must not.
@@ -137,13 +129,12 @@ class TestProtocol:
     def test_all_kinds_satisfy_protocol(self, image):
         session = _session(image)
         results = [
-            session.analyze(jobs=1),
-            session.analyze(jobs=2),
-            session.analyze_incremental(jobs=1),
+            session.analyze(),
+            session.analyze_incremental(),
             session.query("dbl"),
         ]
         kinds = [r.kind for r in results]
-        assert kinds == ["serial", "parallel", "incremental", "query"]
+        assert kinds == ["serial", "incremental", "query"]
         for result in results:
             assert isinstance(result, AnalysisResult)
             payload = result.to_json()
@@ -151,14 +142,14 @@ class TestProtocol:
 
     def test_bare_result_renders_empty_counters(self, image):
         session = _session(image)
-        analysis = session.analyze(jobs=1)
+        analysis = session.analyze()
         assert analysis.to_json()["counters"] == {}
 
 
 class TestValidator:
     def test_rejects_wrong_schema(self, image):
         session = _session(image)
-        session.analyze(jobs=1)
+        session.analyze()
         payload = dict(session.to_json())
         payload["schema"] = 2
         with pytest.raises(ValueError, match="schema must be 1"):
@@ -166,7 +157,7 @@ class TestValidator:
 
     def test_rejects_unknown_kind(self, image):
         session = _session(image)
-        session.analyze(jobs=1)
+        session.analyze()
         payload = dict(session.to_json())
         payload["kind"] = "mystery"
         with pytest.raises(ValueError, match="unknown kind"):

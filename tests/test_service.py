@@ -8,7 +8,6 @@ bad input maps to 4xx without leaving registry residue, and SIGTERM
 drains gracefully.
 """
 
-import base64
 import json
 import threading
 import time
@@ -87,7 +86,7 @@ def _client(daemon, tenant=None):
 
 def _local_payload(image_bytes, **to_json_kwargs):
     session = AnalysisSession.from_image_bytes(image_bytes)
-    session.analyze(jobs=1)
+    session.analyze()
     return session.to_json(**to_json_kwargs)
 
 
@@ -375,17 +374,6 @@ class TestBadRequests:
         assert client.request(
             "POST", "/v2/analyze", body={}, raise_on_error=False
         ).status == 404
-
-    def test_bad_jobs_value_is_400(self, daemon, image_a):
-        body = {
-            "image_b64": base64.b64encode(image_a).decode(),
-            "jobs": "many",
-        }
-        response = _client(daemon).request(
-            "POST", "/v1/analyze", body, raise_on_error=False
-        )
-        assert response.status == 400
-
 
 # ----------------------------------------------------------------------
 # Lifecycle

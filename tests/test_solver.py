@@ -251,7 +251,7 @@ class TestCoreEquivalence:
 
 
 class TestSubgraphWorklist:
-    def _solve_chain(self, order_mode, seed_order=None):
+    def _solve_chain(self, seed_order=None):
         """0 <- 1 <- 2 <- 3 supplier chain: node 0 generates a bit that
         must propagate to node 3 (dependents point downstream)."""
         node_count = 4
@@ -275,21 +275,15 @@ class TestSubgraphWorklist:
             dependents,
             [False] * node_count,
             seed_order if seed_order is not None else list(range(node_count)),
-            order=order_mode,
         )
         total = worklist.run(transfer)
         return values, visits, total, worklist
-
-    def test_priority_and_fifo_fixed_points_agree(self):
-        priority_values, _, _, _ = self._solve_chain("priority")
-        fifo_values, _, _, _ = self._solve_chain("fifo")
-        assert priority_values == fifo_values == [0b1] * 4
 
     def test_priority_follows_seed_ranks(self):
         # Seeded supplier-first, the chain settles in one sweep: four
         # visits, no revisits.
         _, visits, total, worklist = self._solve_chain(
-            "priority", seed_order=[0, 1, 2, 3]
+            seed_order=[0, 1, 2, 3]
         )
         assert visits == [0, 1, 2, 3]
         assert total == 4
@@ -301,7 +295,7 @@ class TestSubgraphWorklist:
         # supplier has settled, so the change ripples as revisits —
         # the exact effect ``solver.revisits`` gauges.
         _, _, total, worklist = self._solve_chain(
-            "priority", seed_order=[3, 2, 1, 0]
+            seed_order=[3, 2, 1, 0]
         )
         assert total > 4
         assert worklist.revisits == total - 4
@@ -355,7 +349,3 @@ class TestSubgraphWorklist:
         total = worklist.run(transfer, counts=counts)
         assert sum(counts) == total
         assert all(count >= 1 for count in counts)
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            SubgraphWorklist(1, [[]], [False], [0], order="lifo")

@@ -10,8 +10,7 @@ Four layers of guarantees:
   every byte offset and mutation of every byte with a clean
   :class:`SummaryFormatError` (a store read turns that into a miss);
 * **byte-identity** — analysis results are identical with the store
-  enabled, disabled, or poisoned, cold and warm, serial and parallel,
-  including concurrent multiprocess readers and writers over one
+  enabled, disabled, or poisoned, cold and warm, including concurrent multiprocess readers and writers over one
   store directory;
 * **operations** — hit/miss/write/evict counters, LRU GC under a byte
   budget, stale temp sweeping, and the ``spike-analyze store`` CLI.
@@ -230,17 +229,13 @@ class TestConfigDigest:
         from repro.psg.build import PsgConfig
 
         base = config_digest(AnalysisConfig())
-        # Labeling strategy, solver core and jobs are documented
+        # Per-edge labeling and the solver core are documented
         # bit-identical, so a flat-core solve may warm an object-core
         # one and vice versa.
-        assert base == config_digest(
-            AnalysisConfig(psg=PsgConfig(labeling="per-target"))
-        )
         assert base == config_digest(
             AnalysisConfig(psg=PsgConfig(per_edge_labeling=True))
         )
         assert base == config_digest(AnalysisConfig(solver_core="flat"))
-        assert base == config_digest(AnalysisConfig(jobs=4))
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +460,7 @@ class TestResolveStore:
 
 
 # ----------------------------------------------------------------------
-# Byte-identity: store on / off / poisoned, cold / warm, serial /
-# parallel
+# Byte-identity: store on / off / poisoned, cold / warm
 # ----------------------------------------------------------------------
 
 
@@ -534,24 +528,6 @@ class TestByteIdentity:
         )
         assert _result_bytes(warm) == _result_bytes(baseline)
         assert not warm.metrics.cold
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_parallel_publishes_and_stays_identical(
-        self, tmp_path, variant1, variant2, jobs
-    ):
-        store = SummaryStore(str(tmp_path / "s"))
-        baseline = analyze_program(variant1, AnalysisConfig(store="off"))
-        session = AnalysisSession.from_program(
-            variant1, AnalysisConfig(store=store)
-        )
-        parallel = session.analyze(jobs=jobs)
-        assert dump_summaries(parallel.result) == _result_bytes(baseline)
-        # The parent published after the merge: a serial consumer of a
-        # *different* linked variant now hits the shared library.
-        follow = analyze_incremental(
-            variant2, config=AnalysisConfig(store=store)
-        )
-        assert follow.metrics.phase1_store_hits == 2
 
     def test_serial_facade_publishes(self, tmp_path, variant1, variant2):
         store = SummaryStore(str(tmp_path / "s"))

@@ -11,13 +11,11 @@ Checks the file is a well-formed Chrome trace-event document:
 * ``traceEvents`` is a list of ``X`` (complete) and ``M`` (metadata)
   events with the required fields, numeric non-negative ``ts``/``dur``;
 * at least ``--min-pids`` distinct pids contributed duration events
-  (``--min-pids 3`` on a ``--jobs 2`` run asserts spans were merged
-  from two real worker processes plus the parent);
+  (a serial ``analyze`` records from one process);
 * every pid has a ``process_name`` metadata event;
 * every ``--require-span NAME`` (repeatable) matches at least one
-  ``X`` event — e.g. ``--require-span frontend --require-span
-  frontend.chunk`` proves the parallel front end actually ran and its
-  worker spans were merged back.
+  ``X`` event — e.g. ``--require-span psg.build --require-span
+  phase1`` proves those stages ran and were traced.
 
 With ``--stats``, also validates the ``--json`` stats payload captured
 from the same run: the ``counters`` object must carry the seeded cache
